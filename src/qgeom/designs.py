@@ -29,18 +29,20 @@ from .projspace import (
     PointId,
     Subspace,
     all_points,
+    bit_ids,
     contains,
     dualize,
     enumerate_subspaces,
     gaussian_binomial,
     join,
     meet,
+    point_mask,
     point_of_vector,
     point_to_subspace,
     quotient,
+    require_ambient,
     subspace_from_json,
     subspace_from_rows,
-    subspace_points,
     subspace_to_json,
     subspaces_within,
 )
@@ -124,10 +126,11 @@ def is_design(blocks: BlockSet, params: DesignParams) -> DesignReport:
         raise ParamMismatchError(
             f"block set ({blocks.v},{blocks.k})_{blocks.q} does not match {params}")
     spec = field_new(params.q)
-    block_list = blocks.sorted_blocks()
+    block_masks = [point_mask(B) for B in blocks.sorted_blocks()]
     witnesses = []
     for T in enumerate_subspaces(params.v, params.t, spec):
-        c = sum(1 for B in block_list if contains(B, T))
+        tm = point_mask(T)
+        c = sum(1 for m in block_masks if not tm & ~m)
         if c != params.lam:
             witnesses.append((T, c))
             if len(witnesses) == 10:
@@ -235,18 +238,21 @@ def desarguesian_spread(v: int, k: int, spec: FieldSpec) -> BlockSet:
 def spread_holes(blocks: BlockSet) -> frozenset[PointId]:
     """Points not covered by any block of a partial spread.
 
-    Raises NotPartialSpreadError (with a witness point) if some point is
-    covered twice.
+    Raises NotPartialSpreadError if some point is covered twice; the
+    witness is the lowest such point on the first block (in canonical
+    order) that meets an earlier one.
     """
-    spec = field_new(blocks.q)
-    cover = {}
+    points = all_points(blocks.v, field_new(blocks.q))
+    cover = 0
     for B in blocks.sorted_blocks():
-        for p in subspace_points(B):
-            if p.index in cover:
-                raise NotPartialSpreadError(
-                    f"point {p.vector} is covered more than once", witness=p)
-            cover[p.index] = B
-    return frozenset(p for p in all_points(blocks.v, spec) if p.index not in cover)
+        m = point_mask(B)
+        twice = cover & m
+        if twice:
+            p = points[(twice & -twice).bit_length() - 1]
+            raise NotPartialSpreadError(
+                f"point {p.vector} is covered more than once", witness=p)
+        cover |= m
+    return frozenset(points[i] for i in bit_ids(~cover & ((1 << len(points)) - 1)))
 
 
 @dataclass(frozen=True)
@@ -269,12 +275,14 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
         raise NotASpreadError("block set is not a spread")
     target = blocks.q ** blocks.k + 1
     block_list = blocks.sorted_blocks()
+    block_masks = [point_mask(B) for B in block_list]
     joins = set()
     for i, B in enumerate(block_list):
         for Bp in block_list[i + 1:]:
             joins.add(join(B, Bp))
     for J in sorted(joins):
-        c = sum(1 for B in block_list if contains(J, B))
+        jm = point_mask(J)
+        c = sum(1 for m in block_masks if not m & ~jm)
         if c != target:
             return GeometricReport(ok=False, witness=J, count=c)
     return GeometricReport(ok=True)
@@ -317,7 +325,9 @@ class BetaFlatReport:
 def beta_flat_focus(blocks: BlockSet, F: Subspace) -> BetaFlatReport:
     if F.k != 5:
         raise ValueError("focal-point analysis expects a 5-subspace")
-    inside = [B for B in blocks.sorted_blocks() if contains(F, B)]
+    require_ambient(blocks.v, blocks.q, (F,))
+    fm = point_mask(F)
+    inside = [B for B in blocks.sorted_blocks() if not point_mask(B) & ~fm]
     if len(inside) < 2:
         return BetaFlatReport(flat=F, focal=None, block_count=len(inside))
     common = inside[0]

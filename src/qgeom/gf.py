@@ -131,8 +131,9 @@ class FieldSpec:
             raise ValueError("modulus is reducible")
 
 
+@lru_cache(maxsize=None)
 def field_new(q: int) -> FieldSpec:
-    """Build the canonical FieldSpec of order q.
+    """The canonical FieldSpec of order q, built once per q.
 
     The modulus choice is deterministic (smallest irreducible, see
     FieldSpec), so canonical subspace forms and golden files are stable
@@ -275,12 +276,13 @@ class FieldReduction:
 def _matmul(a, b, ops):
     n = len(a)
     return tuple(
-        tuple(_dot(a[i], tuple(b[r][j] for r in range(n)), ops) for j in range(n))
+        tuple(dot(a[i], tuple(b[r][j] for r in range(n)), ops) for j in range(n))
         for i in range(n)
     )
 
 
-def _dot(x, y, ops):
+def dot(x, y, ops) -> int:
+    """Sum of x_i * y_i over the field of ``ops``."""
     acc = 0
     for xi, yi in zip(x, y):
         if xi and yi:

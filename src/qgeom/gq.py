@@ -27,12 +27,14 @@ from .gf import field_new, ops_for_order
 from .projspace import (
     Subspace,
     all_points,
-    contains,
+    bit_ids,
     enumerate_subspaces,
     form_value,
     join,
+    mask_of,
+    point_mask,
+    require_ambient,
     subspace_from_json,
-    subspace_points,
     subspace_to_json,
     symplectic_form,
 )
@@ -74,17 +76,10 @@ class IncidenceStructure:
         return m
 
     def line_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(pts) for pts in self.line_points)
+        return tuple(mask_of(pts) for pts in self.line_points)
 
     def point_masks(self) -> tuple[int, ...]:
-        return tuple(_mask(ls) for ls in self.point_lines)
-
-
-def _mask(ids) -> int:
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
+        return tuple(mask_of(ls) for ls in self.point_lines)
 
 
 def incidence_from_lines(n_points: int, lines,
@@ -135,7 +130,7 @@ def build_w(q: int) -> IncidenceStructure:
         b0, b1 = L.basis
         if form_value(form, b0, b1, q) == 0:
             iso_lines.append(L)
-    line_points = [tuple(p.index for p in subspace_points(L)) for L in iso_lines]
+    line_points = [tuple(bit_ids(point_mask(L))) for L in iso_lines]
     point_labels = tuple(Subspace(v=4, k=1, q=q, basis=(p.vector,)) for p in points)
     return incidence_from_lines(len(points), line_points,
                                 point_labels=point_labels,
@@ -152,21 +147,26 @@ def _parabolic_value(vec, q: int) -> int:
 @lru_cache(maxsize=None)
 def build_q4(q: int) -> IncidenceStructure:
     """Q(4,q): projective zeroes of x1 x2 + x3 x4 + x5^2 in PG(4,q),
-    with all the lines of PG(4,q) inside the zero set."""
+    with all the lines of PG(4,q) inside the zero set.
+
+    A line <b0, b1> lies in the quadric iff Q(b0) = Q(b1) = Q(b0 + b1) = 0,
+    because Q(a b0 + b b1) = a^2 Q(b0) + b^2 Q(b1) + ab (Q(b0 + b1) - Q(b0)
+    - Q(b1)) in every characteristic; only the kept lines get point sets.
+    """
     spec = field_new(q)
-    pg_points = all_points(5, spec)
-    quadric = [p for p in pg_points if _parabolic_value(p.vector, q) == 0]
+    ops = ops_for_order(q)
+    quadric = [p for p in all_points(5, spec) if _parabolic_value(p.vector, q) == 0]
     idx = {p.index: i for i, p in enumerate(quadric)}
-    on_quadric = set(idx)
     lines = []
     for L in enumerate_subspaces(5, 2, spec):
-        pts = subspace_points(L)
-        if all(p.index in on_quadric for p in pts):
-            lines.append((L, tuple(idx[p.index] for p in pts)))
+        b0, b1 = L.basis
+        if (_parabolic_value(b0, q) == 0 and _parabolic_value(b1, q) == 0
+                and _parabolic_value([ops.add(x, y) for x, y in zip(b0, b1)], q) == 0):
+            lines.append(L)
     point_labels = tuple(Subspace(v=5, k=1, q=q, basis=(p.vector,)) for p in quadric)
-    return incidence_from_lines(len(quadric), [pts for _, pts in lines],
-                                point_labels=point_labels,
-                                line_labels=tuple(L for L, _ in lines))
+    return incidence_from_lines(
+        len(quadric), [[idx[i] for i in bit_ids(point_mask(L))] for L in lines],
+        point_labels=point_labels, line_labels=tuple(lines))
 
 
 # ----------------------------------------------------------------------
@@ -280,10 +280,7 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
         if depth == n:
             return True
         x = order[depth]
-        required = 0
-        for y in _bits(adj_a[x]):
-            if mapping[y] >= 0:
-                required |= 1 << mapping[y]
+        required = mask_of(mapping[y] for y in bit_ids(adj_a[x]) if mapping[y] >= 0)
         for cand in by_kind[kind[x]]:
             if used_b >> cand & 1:
                 continue
@@ -340,39 +337,26 @@ def _connectivity_order(adj: list[int], deg: list[int]) -> list[int]:
     return order
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # ----------------------------------------------------------------------
 # Spreads, ovoids, elliptic sections
 # ----------------------------------------------------------------------
 
 def is_gq_spread(structure: IncidenceStructure, lineset) -> bool:
     """Whether each point is incident with exactly one chosen line."""
-    chosen = set(lineset)
-    for j in chosen:
-        if not 0 <= j < structure.n_lines:
-            raise UnknownIdError(f"line id {j} outside the structure")
-    for ls in structure.point_lines:
-        if sum(1 for j in ls if j in chosen) != 1:
-            return False
-    return True
+    return _each_meets_once(structure.point_lines, lineset, structure.n_lines, "line")
 
 
 def is_gq_ovoid(structure: IncidenceStructure, pointset) -> bool:
     """Whether each line is incident with exactly one chosen point."""
-    chosen = set(pointset)
-    for p in chosen:
-        if not 0 <= p < structure.n_points:
-            raise UnknownIdError(f"point id {p} outside the structure")
-    for pts in structure.line_points:
-        if sum(1 for p in pts if p in chosen) != 1:
-            return False
-    return True
+    return _each_meets_once(structure.line_points, pointset, structure.n_points, "point")
+
+
+def _each_meets_once(incidence, ids, n: int, kind: str) -> bool:
+    chosen = set(ids)
+    for x in chosen:
+        if not 0 <= x < n:
+            raise UnknownIdError(f"{kind} id {x} outside the structure")
+    return all(sum(1 for y in row if y in chosen) == 1 for row in incidence)
 
 
 def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
@@ -392,12 +376,12 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
         span = join(span, q4.point_labels[i])
     if span.k != 4:
         return False
-    section = {i for i, lab in enumerate(q4.point_labels) if contains(span, lab)}
-    if section != set(ids):
+    require_ambient(span.v, span.q, q4.point_labels + q4.line_labels)
+    sm = point_mask(span)
+    section = [i for i, lab in enumerate(q4.point_labels) if not point_mask(lab) & ~sm]
+    if section != ids:
         return False
-    if any(contains(span, lab) for lab in q4.line_labels):
-        return False
-    return True
+    return not any(not point_mask(lab) & ~sm for lab in q4.line_labels)
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +411,8 @@ def structure_from_json(obj: dict) -> IncidenceStructure:
     per_line = [[] for _ in range(n_lines)]
     for p, ls in enumerate(obj["incidence"]):
         for j in ls:
+            if type(j) is not int or not 0 <= j < n_lines:
+                raise UnknownIdError(f"point {p} lies on line id {j!r} outside the structure")
             per_line[j].append(p)
     labels = obj.get("labels") or {}
     point_labels = labels.get("points")

@@ -5,13 +5,20 @@ equality of subspaces is equality of canonical matrices and subspaces can
 be hashed and placed in sets.  Points (1-subspaces) additionally get dense
 integer ids by the lexicographic rank of their normalized vector; all
 incidence data downstream is bit-packed over these ids.
+
+A subspace's point mask (``point_mask``) is computed on first use and
+memoized on that subspace object, so it lives exactly as long as the
+subspace does.  Hot verification loops test containment within one
+ambient space as a mask subset test, ``inner & ~outer == 0``, after
+``require_ambient``; ``contains`` stays the row-reduction test for
+subspaces that are used once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     AmbientMismatchError,
@@ -20,7 +27,7 @@ from .errors import (
     NotContainedError,
     NotIncidentError,
 )
-from .gf import FieldSpec, field_new, ops_for_order, prime_power_decomposition
+from .gf import FieldSpec, dot, field_new, ops_for_order, prime_power_decomposition
 
 ENUMERATION_BUDGET = 10 ** 7
 
@@ -125,6 +132,12 @@ class Subspace:
         rows = ",".join("".join(map(str, r)) for r in self.basis)
         return f"Subspace({self.k}<{self.v} q={self.q} [{rows}])"
 
+    @cached_property
+    def _point_mask(self) -> int:
+        if self.k == 1:  # the RREF row of a point is its normalized vector
+            return 1 << _point_data(self.v, self.q)[1][self.basis[0]]
+        return mask_of(p.index for p in subspace_points(self))
+
 
 def subspace_from_rows(rows, v: int, q: int) -> Subspace:
     """Canonical subspace spanned by the given coordinate rows."""
@@ -179,10 +192,19 @@ def _enumerate_cached(v: int, k: int, q: int) -> tuple[Subspace, ...]:
     return tuple(out)
 
 
+def require_ambient(v: int, q: int, subspaces) -> None:
+    """Raise AmbientMismatchError unless every subspace lives in F_q^v.
+
+    Point masks number the points of one PG(v-1, q), so masks of two
+    subspaces may be compared only after this check.
+    """
+    if any((U.v, U.q) != (v, q) for U in subspaces):
+        raise AmbientMismatchError("subspaces live in different ambient spaces")
+
+
 def contains(outer: Subspace, inner: Subspace) -> bool:
     """Whether inner <= outer (same ambient required)."""
-    if (outer.v, outer.q) != (inner.v, inner.q):
-        raise AmbientMismatchError("subspaces live in different ambient spaces")
+    require_ambient(outer.v, outer.q, (inner,))
     if inner.k > outer.k:
         return False
     ops = ops_for_order(outer.q)
@@ -201,8 +223,7 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
 
 def meet(U: Subspace, W: Subspace) -> Subspace:
     """Intersection of two subspaces."""
-    if (U.v, U.q) != (W.v, W.q):
-        raise AmbientMismatchError("subspaces live in different ambient spaces")
+    require_ambient(U.v, U.q, (W,))
     cu = _kernel(U.basis, U.v, U.q)
     cw = _kernel(W.basis, W.v, W.q)
     return subspace_from_rows(_kernel(cu + cw, U.v, U.q), U.v, U.q)
@@ -210,8 +231,7 @@ def meet(U: Subspace, W: Subspace) -> Subspace:
 
 def join(U: Subspace, W: Subspace) -> Subspace:
     """Sum of two subspaces."""
-    if (U.v, U.q) != (W.v, W.q):
-        raise AmbientMismatchError("subspaces live in different ambient spaces")
+    require_ambient(U.v, U.q, (W,))
     return subspace_from_rows(U.basis + W.basis, U.v, U.q)
 
 
@@ -291,47 +311,57 @@ def subspace_points(U: Subspace) -> tuple[PointId, ...]:
         return ()
     ops = ops_for_order(U.q)
     points, index = _point_data(U.v, U.q)
-    coords, _ = _point_data(U.k, U.q)
-    out = []
-    for c in coords:
-        vec = [0] * U.v
-        for ci, row in zip(c.vector, U.basis):
-            if ci:
-                for j, x in enumerate(row):
-                    if x:
-                        vec[j] = ops.add(vec[j], ops.mul(ci, x))
-        out.append(points[index[normalize_vector(vec, U.q)]])
-    return tuple(sorted(out, key=lambda p: p.index))
+    # a normalized coordinate row times an RREF basis is normalized
+    ids = sorted(index[tuple(_combine(c.vector, U.basis, U.v, ops))]
+                 for c in _point_data(U.k, U.q)[0])
+    return tuple(points[i] for i in ids)
+
+
+def _combine(coeffs, rows, v: int, ops) -> list[int]:
+    """The length-v vector sum_i coeffs[i] * rows[i]."""
+    vec = [0] * v
+    for ci, row in zip(coeffs, rows):
+        if ci:
+            for j, x in enumerate(row):
+                if x:
+                    vec[j] = ops.add(vec[j], ops.mul(ci, x))
+    return vec
 
 
 def point_mask(U: Subspace) -> int:
-    """Bit-packed point-id set of U."""
-    mask = 0
-    for p in subspace_points(U):
-        mask |= 1 << p.index
-    return mask
+    """Bit-packed point-id set of U: bit i is set iff point i lies on U.
+
+    Computed on first use and memoized on U itself, never for a whole
+    Grassmannian at once.  Within one ambient space, inner <= outer iff
+    ``point_mask(inner) & ~point_mask(outer) == 0``.
+    """
+    return U._point_mask
+
+
+def mask_of(ids) -> int:
+    """Bit-packed set of integer ids."""
+    m = 0
+    for i in ids:
+        m |= 1 << i
+    return m
+
+
+def bit_ids(mask: int):
+    """The ids of the set bits of mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def subspaces_within(W: Subspace, k: int) -> list[Subspace]:
     """All k-subspaces of the ambient space contained in W, canonical order."""
     if k > W.k:
         return []
-    spec = field_new(W.q)
     ops = ops_for_order(W.q)
-    out = []
-    for T in enumerate_subspaces(W.k, k, spec):
-        rows = []
-        for c in T.basis:
-            vec = [0] * W.v
-            for ci, row in zip(c, W.basis):
-                if ci:
-                    for j, x in enumerate(row):
-                        if x:
-                            vec[j] = ops.add(vec[j], ops.mul(ci, x))
-            rows.append(vec)
-        out.append(subspace_from_rows(rows, W.v, W.q))
-    out.sort()
-    return out
+    return sorted(
+        subspace_from_rows([_combine(c, W.basis, W.v, ops) for c in T.basis], W.v, W.q)
+        for T in enumerate_subspaces(W.k, k, field_new(W.q)))
 
 
 # ----------------------------------------------------------------------
@@ -369,13 +399,7 @@ def symplectic_form(q: int) -> BilinearForm:
 
 def form_value(form: BilinearForm, x, y, q: int) -> int:
     ops = ops_for_order(q)
-    acc = 0
-    for xi, grow in zip(x, form.gram):
-        if xi:
-            for gij, yj in zip(grow, y):
-                if gij and yj:
-                    acc = ops.add(acc, ops.mul(xi, ops.mul(gij, yj)))
-    return acc
+    return dot(x, [dot(grow, y, ops) for grow in form.gram], ops)
 
 
 def dualize(U: Subspace, form: BilinearForm) -> Subspace:
@@ -383,21 +407,18 @@ def dualize(U: Subspace, form: BilinearForm) -> Subspace:
     v, q = U.v, U.q
     if len(form.gram) != v:
         raise AmbientMismatchError("form dimension does not match the subspace")
-    if len(rref(form.gram, q)) != v:
+    if _gram_rank(form, q) != v:
         raise DegenerateFormError("Gram matrix is singular")
     ops = ops_for_order(q)
     constraints = []
     for u in U.basis:
-        constraints.append(tuple(_row_dot(grow, u, ops) for grow in form.gram))
+        constraints.append(tuple(dot(grow, u, ops) for grow in form.gram))
     return subspace_from_rows(_kernel(constraints, v, q), v, q)
 
 
-def _row_dot(a, b, ops):
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = ops.add(acc, ops.mul(x, y))
-    return acc
+@lru_cache(maxsize=None)
+def _gram_rank(form: BilinearForm, q: int) -> int:
+    return len(rref(form.gram, q))
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +443,7 @@ def quotient(B: Subspace, P: Subspace) -> Subspace:
     ops = ops_for_order(q)
     qrows = []
     for x in B.basis:
-        coords = [_row_dot(x, tuple(inv[r][j] for r in range(v)), ops)
+        coords = [dot(x, tuple(inv[r][j] for r in range(v)), ops)
                   for j in range(v)]
         qrows.append(coords[P.k:])
     return subspace_from_rows(qrows, v - P.k, q)

@@ -30,7 +30,7 @@ from .designs import BlockSet, block_set, spread_holes
 from .errors import BudgetExceededError, UnknownIdError
 from .gf import FieldSpec
 from .gq import IncidenceStructure, check_gq, is_gq_ovoid, is_gq_spread
-from .projspace import enumerate_subspaces, point_mask, q_number
+from .projspace import bit_ids, enumerate_subspaces, mask_of, point_mask, q_number
 
 MODES = ("first", "all", "count")
 
@@ -54,25 +54,13 @@ class ExactCoverInstance:
             raise ValueError("names must match options one to one")
 
     def option_ids(self, opt: int) -> tuple[int, ...]:
-        return tuple(_bit_ids(self.options[opt]))
-
-
-def _bit_ids(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        return tuple(bit_ids(self.options[opt]))
 
 
 def exact_cover_instance(n_elements: int, option_sets, names=None) -> ExactCoverInstance:
     """Canonical instance from iterables of element ids."""
-    masks = []
-    for s in option_sets:
-        m = 0
-        for e in s:
-            m |= 1 << e
-        masks.append(m)
-    return ExactCoverInstance(n_elements=n_elements, options=tuple(masks),
+    return ExactCoverInstance(n_elements=n_elements,
+                              options=tuple(mask_of(s) for s in option_sets),
                               names=tuple(names) if names is not None else None)
 
 
@@ -80,7 +68,7 @@ def instance_digest(instance: ExactCoverInstance) -> str:
     """Content hash of the canonical instance serialization."""
     payload = {
         "n_elements": instance.n_elements,
-        "options": [sorted(_bit_ids(m)) for m in instance.options],
+        "options": [list(bit_ids(m)) for m in instance.options],
         "names": list(instance.names) if instance.names is not None else None,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
@@ -145,7 +133,7 @@ class _Dlx:
         for opt in option_order:
             first = None
             prev = None
-            for e in _bit_ids(instance.options[opt]):
+            for e in bit_ids(instance.options[opt]):
                 col = e + 1
                 node = len(self.U)
                 self.U.append(self.U[col])
@@ -476,7 +464,7 @@ def partition_into_ovoids(structure: IncidenceStructure, mode: str = "all",
 def _partition_level(n_elements, first_level_solutions, label, mode, kwargs):
     instance = ExactCoverInstance(
         n_elements=n_elements,
-        options=tuple(_mask_of(sol) for sol in first_level_solutions),
+        options=tuple(mask_of(sol) for sol in first_level_solutions),
         names=tuple(f"{label}-{i}" for i in range(len(first_level_solutions))))
     if not instance.options:
         # no first-level solutions at all certifies nonexistence outright
@@ -491,13 +479,6 @@ def _strip_cap(kwargs):
     out = dict(kwargs)
     out.pop("max_solutions", None)
     return out
-
-
-def _mask_of(ids):
-    m = 0
-    for i in ids:
-        m |= 1 << i
-    return m
 
 
 def pairwise_intersection_matrix(certificate: SearchCertificate,

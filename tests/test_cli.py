@@ -1,6 +1,7 @@
 """CLI surface tests: exit-code contract, JSON payloads, piping via '-',
 and golden human renderings."""
 
+import hashlib
 import io
 import json
 import os
@@ -193,6 +194,37 @@ def test_gq_build_is_byte_identical(tmp_path, capsys):
     run(capsys, "gq", "build", "--type", "Q4", "--q", "3", "--out", str(a))
     run(capsys, "gq", "build", "--type", "Q4", "--q", "3", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+GQ_BUILD_SHA256 = {
+    ("Q4", 2): "1ce2316217142ae06311c8eb48f03b4f6eac04cb4fe333cd736c56998c51206f",
+    ("Q4", 3): "7380233572a30224d898fa2bb4dc427be04b2b351dcb356b72d1c29f0b4c5cac",
+    ("Q4", 4): "8c64df0a229325f6c57d86a478ef985a6f67b094ae8ddba172a46733927d2067",
+    ("Q4", 5): "d87372e3dd95c38b08bf844d8f3fb0b4da55599e75c0256492a346003f0a4d2d",
+    ("W", 2): "49a5da072459cdf878541bd56434a59b427600bb096392aeda5fc6ec60bbb608",
+    ("W", 3): "48771c7c84899e539595a546e0a7d2b9668264f819cd24a29be0cfeb183eb67a",
+    ("W", 4): "eba5776862f009a1adb729fd2a66aa01b169186a657708335b5fc0d663f5ab51",
+    ("W", 5): "d9c7d06322c466037e4d9860a2585710aea794fa5771e77dc1679fa5b3794995",
+}
+
+
+@pytest.mark.parametrize("kind,q", sorted(GQ_BUILD_SHA256))
+def test_gq_build_payload_digest_is_pinned(kind, q, tmp_path, capsys):
+    out = tmp_path / "gq.json"
+    assert run(capsys, "gq", "build", "--type", kind, "--q", str(q),
+               "--out", str(out))[0] == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GQ_BUILD_SHA256[kind, q]
+
+
+@pytest.mark.parametrize("line_id", [5, -1])
+def test_gq_check_rejects_unknown_line_ids(line_id, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"schema_version": 1, "points": 2, "lines": 1,
+                             "incidence": [[0], [line_id]]}))
+    code, out, err = run(capsys, "gq", "check", str(f))
+    assert code == EXIT_ERROR and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+    assert f"line id {line_id} outside the structure" in err
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from qgeom.designs import (
     spread_holes,
 )
 from qgeom.errors import (
+    AmbientMismatchError,
     DerivedNotASpreadError,
     NotASpreadError,
     NotDivisibleError,
@@ -265,6 +266,33 @@ def test_spread_holes_rejects_overlap():
     assert err.value.witness is not None
 
 
+def _overlapping_blocks(case):
+    if case == "crossing pair":
+        lines = enumerate_subspaces(4, 2, F2)
+        return [lines[0], next(M for M in lines[1:] if meet(lines[0], M).k == 1)]
+    if case == "spread plus a line":
+        spread = desarguesian_spread(4, 2, F3).sorted_blocks()
+        extra = next(M for M in enumerate_subspaces(4, 2, F3)
+                     if M not in spread and M > spread[3])
+        return spread + [extra]
+    # a line after the first two spread lines that meets each of them
+    chord = subspace_from_rows([(1, 1, 0, 0), (0, 0, 0, 1)], 4, 3)
+    return desarguesian_spread(4, 2, F3).sorted_blocks()[:2] + [chord]
+
+
+@pytest.mark.parametrize("case,witness", [
+    ("crossing pair", ((0, 0, 0, 1), 0)),
+    ("spread plus a line", ((1, 0, 0, 2), 15)),
+    ("chord meeting two blocks", ((0, 0, 0, 1), 0)),
+])
+def test_spread_holes_overlap_witness_is_pinned(case, witness):
+    # the lowest point of the first block (canonical order) that meets an
+    # earlier block; values recorded from the per-point implementation
+    with pytest.raises(NotPartialSpreadError) as err:
+        spread_holes(block_set(_overlapping_blocks(case)))
+    assert (err.value.witness.vector, err.value.witness.index) == witness
+
+
 @pytest.mark.parametrize("v,k,q", [(4, 2, 2), (6, 2, 2), (4, 2, 3), (6, 3, 2)])
 def test_desarguesian_spreads_are_geometric(v, k, q):
     rep = is_geometric_spread(desarguesian_spread(v, k, field_new(q)))
@@ -338,6 +366,16 @@ def test_beta_flat_focus_of_the_cone_model(q):
     rep = beta_flat_focus(blocks, full_space(5, q))
     assert rep.block_count == q * q + 1
     assert rep.focal == apex
+
+
+def test_beta_flat_focus_rejects_a_flat_of_another_ambient():
+    blocks, _ = _beta_flat_model(2)
+    with pytest.raises(AmbientMismatchError):
+        beta_flat_focus(blocks, full_space(5, 3))
+    hyperplane = subspace_from_rows([tuple(int(i == j) for j in range(6)) for i in range(5)],
+                                    6, 2)
+    with pytest.raises(AmbientMismatchError):
+        beta_flat_focus(blocks, hyperplane)
 
 
 def test_beta_flat_single_block_reports_no_focus():

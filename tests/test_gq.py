@@ -1,10 +1,13 @@
 """Generalized quadrangle tests: the classical constructions, axiom
 checking on hand-verifiable toys, duality, and isomorphism search."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qgeom.errors import (
+    AmbientMismatchError,
     BudgetExceededError,
     MissingLabelsError,
     OutOfRangeError,
@@ -243,6 +246,21 @@ def test_elliptic_check_needs_labels():
         is_elliptic_quadric_ovoid(grid, {0, 4, 8})
 
 
+def test_elliptic_check_rejects_mixed_ambient_labels():
+    q4 = build_q4(2)
+    ovoid = [0, 2, 5, 9, 13]
+    assert is_elliptic_quadric_ovoid(q4, ovoid)
+    foreign_line = enumerate_subspaces(4, 2, field_new(2))[0]
+    bad_lines = replace(q4, line_labels=q4.line_labels[:-1] + (foreign_line,))
+    with pytest.raises(AmbientMismatchError):
+        is_elliptic_quadric_ovoid(bad_lines, ovoid)
+    # a point label off the ovoid, from PG(4,3)
+    foreign_point = enumerate_subspaces(5, 1, field_new(3))[0]
+    bad_points = replace(q4, point_labels=q4.point_labels[:-1] + (foreign_point,))
+    with pytest.raises(AmbientMismatchError):
+        is_elliptic_quadric_ovoid(bad_points, ovoid)
+
+
 def test_elliptic_check_rejects_non_ovoid():
     q4 = build_q4(2)
     with pytest.raises(ValueError):
@@ -280,3 +298,11 @@ def test_structure_json_round_trip_with_labels():
     again = structure_from_json(structure_to_json(grid))
     assert again.line_points == grid.line_points
     assert again.point_labels is None
+
+
+@pytest.mark.parametrize("line_id", [5, -1, 1, "0", 0.0, True])
+def test_structure_from_json_rejects_unknown_line_ids(line_id):
+    obj = {"schema_version": 1, "points": 2, "lines": 1,
+           "incidence": [[0], [line_id]]}
+    with pytest.raises(UnknownIdError):
+        structure_from_json(obj)

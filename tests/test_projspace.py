@@ -16,6 +16,7 @@ from qgeom.errors import (
     NotContainedError,
     NotIncidentError,
 )
+from qgeom import projspace
 from qgeom.gf import arith, field_new
 from qgeom.projspace import (
     Subspace,
@@ -28,6 +29,7 @@ from qgeom.projspace import (
     gaussian_binomial,
     join,
     line_pencil,
+    mask_of,
     meet,
     normalize_vector,
     point_index,
@@ -318,6 +320,31 @@ def test_subspace_points_and_mask():
     pts = subspace_points(L)
     assert len(pts) == 3
     assert point_mask(L).bit_count() == 3
+
+
+def test_point_mask_is_memoized_per_subspace(monkeypatch):
+    real = projspace.subspace_points
+    calls = []
+    monkeypatch.setattr(projspace, "subspace_points", lambda U: calls.append(U) or real(U))
+    L = subspace_from_rows([(1, 0, 2, 0), (0, 1, 1, 1)], 4, 3)
+    twin = subspace_from_rows(L.basis, 4, 3)
+    before = (hash(twin), repr(twin))
+    assert point_mask(L) == point_mask(L) == mask_of(p.index for p in real(L))
+    assert calls == [L]
+    # a memoized mask leaves equality, hashing, order and repr alone
+    assert L == twin and not L < twin and not twin < L
+    assert (hash(L), repr(L)) == before
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_mask_subset_agrees_with_contains(q):
+    spec = field_new(q)
+    small = [U for k in (0, 1, 2) for U in enumerate_subspaces(4, k, spec)]
+    large = [U for k in (2, 3) for U in enumerate_subspaces(4, k, spec)]
+    for U in small:
+        assert point_mask(U) == mask_of(p.index for p in subspace_points(U))
+        for W in large:
+            assert (not point_mask(U) & ~point_mask(W)) == contains(W, U)
 
 
 def test_subspaces_within():
