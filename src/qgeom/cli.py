@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__, designs, gq, projspace, search
 from .errors import BudgetExceededError, QGeomError
@@ -114,9 +115,17 @@ def _search_kwargs(args):
     return kw
 
 
-def _int_ish(text: str) -> int:
-    # accepts 1e7 style literals
-    return int(float(text))
+def _int_at_least(low: int):
+    """argparse type: an exact integer >= low; accepts 1e7 style literals."""
+    def parse(text: str) -> int:
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or value.denominator != 1 or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(value)
+    return parse
 
 
 # ----------------------------------------------------------------------
@@ -407,9 +416,9 @@ def _add_common(p, out=True):
 
 def _add_search_flags(p):
     p.add_argument("--mode", choices=search.MODES, default="all")
-    p.add_argument("--limit", type=_int_ish, default=None,
+    p.add_argument("--limit", type=_int_at_least(0), default=None,
                    help="node budget (accepts 1e7 style)")
-    p.add_argument("--max-solutions", type=_int_ish, default=None)
+    p.add_argument("--max-solutions", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="option-order shuffle seed (default 0)")
     p.add_argument("--workers", type=int, default=None,
@@ -450,7 +459,7 @@ def build_parser() -> _Parser:
     p = gsub.add_parser("iso")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--limit", type=_int_ish, default=None)
+    p.add_argument("--limit", type=_int_at_least(0), default=None)
     _add_common(p)
     p.set_defaults(fn=cmd_gq_iso)
 

@@ -22,6 +22,7 @@ from .errors import (
     NotSteinerLikeError,
     OutOfRangeError,
     ParamMismatchError,
+    PayloadError,
 )
 from .gf import FieldSpec, field_new, field_reduction, ops_for_order, prime_power_decomposition
 from .projspace import (
@@ -35,6 +36,7 @@ from .projspace import (
     enumerate_subspaces,
     gaussian_binomial,
     join,
+    json_object,
     meet,
     point_mask,
     point_of_vector,
@@ -87,7 +89,8 @@ class BlockSet:
                 raise ValueError("block dimension mismatch")
 
     def sorted_blocks(self) -> list[Subspace]:
-        return sorted(self.blocks)
+        # one (v, q, k) per block set, so the basis alone gives Subspace order
+        return sorted(self.blocks, key=lambda B: B.basis)
 
     def __len__(self):
         return len(self.blocks)
@@ -398,5 +401,8 @@ def blockset_to_json(blocks: BlockSet) -> dict:
 
 
 def blockset_from_json(obj: dict) -> BlockSet:
+    obj = json_object(obj, "block set")
+    if any(type(obj[f]) is not int for f in "vqk") or not isinstance(obj["blocks"], list):
+        raise PayloadError("a block set needs integer v, q and k and a list of blocks")
     blocks = frozenset(subspace_from_json(b) for b in obj["blocks"])
     return BlockSet(v=obj["v"], q=obj["q"], k=obj["k"], blocks=blocks)

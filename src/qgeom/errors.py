@@ -69,6 +69,10 @@ class UnknownIdError(QGeomError, ValueError):
     """A point or line id is outside the structure."""
 
 
+class PayloadError(QGeomError, ValueError):
+    """A wire-format payload has the wrong shape or out-of-range entries."""
+
+
 class BudgetExceededError(QGeomError, RuntimeError):
     """A search or enumeration exceeded its node/memory budget.
 

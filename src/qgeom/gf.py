@@ -283,10 +283,10 @@ def _matmul(a, b, ops):
 
 def dot(x, y, ops) -> int:
     """Sum of x_i * y_i over the field of ``ops``."""
+    add, mul = ops._add, ops._mul
     acc = 0
     for xi, yi in zip(x, y):
-        if xi and yi:
-            acc = ops.add(acc, ops.mul(xi, yi))
+        acc = add[acc][mul[xi][yi]]
     return acc
 
 

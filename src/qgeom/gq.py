@@ -21,20 +21,23 @@ from .errors import (
     BudgetExceededError,
     MissingLabelsError,
     OutOfRangeError,
+    PayloadError,
     UnknownIdError,
 )
-from .gf import field_new, ops_for_order
+from .gf import dot, field_new, ops_for_order
 from .projspace import (
     Subspace,
+    _kernel,
     all_points,
     bit_ids,
     enumerate_subspaces,
     form_value,
-    join,
+    json_object,
     mask_of,
     point_mask,
     require_ambient,
     subspace_from_json,
+    subspace_from_rows,
     subspace_to_json,
     symplectic_form,
 )
@@ -371,17 +374,23 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     ids = sorted(set(pointset))
     if not is_gq_ovoid(q4, ids):
         raise ValueError("point set is not an ovoid of the structure")
-    span = q4.point_labels[ids[0]]
-    for i in ids[1:]:
-        span = join(span, q4.point_labels[i])
+    labels = [q4.point_labels[i] for i in ids]
+    v, q = labels[0].v, labels[0].q
+    require_ambient(v, q, labels)
+    span = subspace_from_rows([lab.basis[0] for lab in labels], v, q)
     if span.k != 4:
         return False
-    require_ambient(span.v, span.q, q4.point_labels + q4.line_labels)
-    sm = point_mask(span)
-    section = [i for i, lab in enumerate(q4.point_labels) if not point_mask(lab) & ~sm]
+    require_ambient(v, q, q4.point_labels + q4.line_labels)
+    ops = ops_for_order(q)
+    normals = _kernel(span.basis, v, q)
+
+    def inside(lab):
+        return not any(dot(row, n, ops) for row in lab.basis for n in normals)
+
+    section = [i for i, lab in enumerate(q4.point_labels) if inside(lab)]
     if section != ids:
         return False
-    return not any(not point_mask(lab) & ~sm for lab in q4.line_labels)
+    return not any(inside(lab) for lab in q4.line_labels)
 
 
 # ----------------------------------------------------------------------
@@ -406,17 +415,23 @@ def structure_to_json(s: IncidenceStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> IncidenceStructure:
-    n_points = obj["points"]
-    n_lines = obj["lines"]
+    obj = json_object(obj, "structure")
+    n_points, n_lines, incidence = obj["points"], obj["lines"], obj["incidence"]
+    if type(n_points) is not int or type(n_lines) is not int or not isinstance(incidence, list):
+        raise PayloadError("structure needs integer points and lines and an incidence list")
     per_line = [[] for _ in range(n_lines)]
-    for p, ls in enumerate(obj["incidence"]):
+    for p, ls in enumerate(incidence):
+        if not isinstance(ls, list):
+            raise PayloadError(f"incidence of point {p} must be a list of line ids")
         for j in ls:
             if type(j) is not int or not 0 <= j < n_lines:
                 raise UnknownIdError(f"point {p} lies on line id {j!r} outside the structure")
             per_line[j].append(p)
-    labels = obj.get("labels") or {}
+    labels = json_object(obj.get("labels") or {}, "labels")
     point_labels = labels.get("points")
     line_labels = labels.get("lines")
+    if not all(isinstance(x, (list, type(None))) for x in (point_labels, line_labels)):
+        raise PayloadError("labels must be lists of subspaces")
     return incidence_from_lines(
         n_points, per_line,
         point_labels=[subspace_from_json(x) for x in point_labels]

@@ -26,6 +26,7 @@ from .errors import (
     DegenerateFormError,
     NotContainedError,
     NotIncidentError,
+    PayloadError,
 )
 from .gf import FieldSpec, dot, field_new, ops_for_order, prime_power_decomposition
 
@@ -484,6 +485,20 @@ def subspace_to_json(U: Subspace) -> dict:
     return {"v": U.v, "k": U.k, "q": U.q, "rows": [list(r) for r in U.basis]}
 
 
+def json_object(obj, what: str) -> dict:
+    """obj itself if it is a JSON object; PayloadError otherwise."""
+    if not isinstance(obj, dict):
+        raise PayloadError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
 def subspace_from_json(obj: dict) -> Subspace:
-    return Subspace(v=obj["v"], k=obj["k"], q=obj["q"],
-                    basis=tuple(tuple(r) for r in obj["rows"]))
+    obj = json_object(obj, "subspace")
+    v, k, q, rows = obj["v"], obj["k"], obj["q"], obj["rows"]
+    if any(type(x) is not int for x in (v, k, q)):
+        raise PayloadError("subspace v, k and q must be integers")
+    if not isinstance(rows, list) or not all(
+            isinstance(r, list) and all(type(x) is int and 0 <= x < q for x in r)
+            for r in rows):
+        raise PayloadError(f"subspace rows must be lists of field elements in [0, {q})")
+    return Subspace(v=v, k=k, q=q, basis=tuple(tuple(r) for r in rows))

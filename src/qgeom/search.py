@@ -1,12 +1,14 @@
 """Certified exhaustive search: exact cover and the partition questions.
 
-The solver is Knuth's Algorithm X over dancing links (array-backed).
-Column choice is minimum-remaining-options with ties broken by lowest
-element id; rows are visited in the instance's option order.  Given the
-same option order the search tree, the discovery order of solutions and
-the node count are all reproducible, which is what the certificates
-record: a completed run with zero solutions is a certified nonexistence
-whose exact tree a re-run can replay.
+The solver is Knuth's Algorithm X on bitsets.  Each node carries the
+mask of options still compatible with the partial cover and the column
+sizes packed into one int, both updated incrementally and passed down
+by value.  Column choice is minimum-remaining-options with ties broken
+by lowest element id; rows are visited in the instance's option order.
+Given the same option order the search tree, the discovery order of
+solutions and the node count are all reproducible, which is what the
+certificates record: a completed run with zero solutions is a certified
+nonexistence whose exact tree a re-run can replay.
 
 Randomized option orders take an explicit seed; there is no global
 randomness.  Multi-worker runs split the root branching across
@@ -21,7 +23,9 @@ import hashlib
 import json
 import multiprocessing
 import random
+import sys
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +56,6 @@ class ExactCoverInstance:
                 raise UnknownIdError(f"option {i} uses element ids >= {self.n_elements}")
         if self.names is not None and len(self.names) != len(self.options):
             raise ValueError("names must match options one to one")
-
-    def option_ids(self, opt: int) -> tuple[int, ...]:
-        return tuple(bit_ids(self.options[opt]))
 
 
 def exact_cover_instance(n_elements: int, option_sets, names=None) -> ExactCoverInstance:
@@ -102,7 +103,7 @@ class SearchCertificate:
 
 
 # ----------------------------------------------------------------------
-# Dancing links core
+# Bitset Algorithm X core
 # ----------------------------------------------------------------------
 
 class _Stop(Exception):
@@ -113,160 +114,116 @@ class _Budget(Exception):
     pass
 
 
-class _Dlx:
-    """Array-backed dancing links matrix for one search run."""
-
-    def __init__(self, instance: ExactCoverInstance, option_order):
-        n = instance.n_elements
-        # node 0 is the root; nodes 1..n the column headers
-        self.L = list(range(-1, n))
-        self.R = list(range(1, n + 1)) + [0]
-        self.L[0] = n
-        self.U = list(range(n + 1))
-        self.D = list(range(n + 1))
-        self.C = list(range(n + 1))
-        self.ROW = [-1] * (n + 1)
-        self.size = [0] * (n + 1)
-        self.RL = list(range(n + 1))  # row links (circular within an option)
-        self.RR = list(range(n + 1))
-        self.first_node = {}
-        for opt in option_order:
-            first = None
-            prev = None
-            for e in bit_ids(instance.options[opt]):
-                col = e + 1
-                node = len(self.U)
-                self.U.append(self.U[col])
-                self.D.append(col)
-                self.D[self.U[col]] = node
-                self.U[col] = node
-                self.C.append(col)
-                self.ROW.append(opt)
-                self.size[col] += 1
-                self.RL.append(node)
-                self.RR.append(node)
-                if first is None:
-                    first = node
-                    self.first_node[opt] = node
-                else:
-                    self.RL[node] = prev
-                    self.RR[node] = first
-                    self.RR[prev] = node
-                    self.RL[first] = node
-                prev = node
-
-    def cover(self, col):
-        L, R, U, D, C, size, RR = self.L, self.R, self.U, self.D, self.C, self.size, self.RR
-        L[R[col]] = L[col]
-        R[L[col]] = R[col]
-        i = D[col]
-        while i != col:
-            j = RR[i]
-            while j != i:
-                U[D[j]] = U[j]
-                D[U[j]] = D[j]
-                size[C[j]] -= 1
-                j = RR[j]
-            i = D[i]
-
-    def uncover(self, col):
-        L, R, U, D, C, size, RL = self.L, self.R, self.U, self.D, self.C, self.size, self.RL
-        i = U[col]
-        while i != col:
-            j = RL[i]
-            while j != i:
-                size[C[j]] += 1
-                U[D[j]] = j
-                D[U[j]] = j
-                j = RL[j]
-            i = U[i]
-        L[R[col]] = col
-        R[L[col]] = col
-
-    def select_option(self, opt):
-        """Cover every column of the given option (forced root choice)."""
-        node = self.first_node[opt]
-        self.cover(self.C[node])
-        j = self.RR[node]
-        while j != node:
-            self.cover(self.C[j])
-            j = self.RR[j]
-
-    def choose_column(self):
-        best, best_size = 0, None
-        c = self.R[0]
-        while c != 0:
-            if best_size is None or self.size[c] < best_size:
-                best, best_size = c, self.size[c]
-                if best_size == 0:
-                    break
-            c = self.R[c]
-        return best  # 0 when no columns remain
-
-
 class _Run:
-    """Driver state: node counting, budgets and solution collection."""
+    """One run of Algorithm X on bitsets: node counting, budgets, solutions.
 
-    def __init__(self, dlx, store_solutions, max_solutions, node_limit):
-        self.dlx = dlx
-        self.store = store_solutions
+    Option bit p is the p-th option of the option order, so a column's
+    candidates, scanned from the lowest bit, come in option order.  A
+    node's state is the mask of still compatible options plus the column
+    sizes packed into one int, W bits per element: an uncovered column
+    holds its count of active options, below 2**(W-1), and a covered
+    one exactly 2**(W-1).  Children get their state by value, so there
+    is no undo pass.
+    """
+
+    def __init__(self, instance, option_order, store, max_solutions, node_limit):
+        n = instance.n_elements
+        elements = [tuple(bit_ids(instance.options[opt])) for opt in option_order]
+        cols = [0] * n
+        for p, es in enumerate(elements):
+            for e in es:
+                cols[e] |= 1 << p
+        biggest, width = max(c.bit_count() for c in cols), 8
+        while biggest >> (width - 1):
+            width *= 2
+        self.cols = cols
+        self.conflict = [0] * len(elements)
+        self.vec = [0] * len(elements)
+        for p, es in enumerate(elements):
+            for e in es:
+                self.conflict[p] |= cols[e]
+                self.vec[p] |= 1 << e * width
+        self.tag = [v << width - 1 for v in self.vec]
+        self.sizes = sum(c.bit_count() << e * width for e, c in enumerate(cols))
+        self.done = sum(1 << (e + 1) * width - 1 for e in range(n))
+        self.active = (1 << len(elements)) - 1
+        self.nbytes = n * width // 8
+        self.typecode = next(c for c in "BHILQ" if array(c).itemsize == width // 8)
+        self.order = option_order
+        self.store = store
         self.max_solutions = max_solutions
-        self.node_limit = node_limit
+        self.node_limit = float("inf") if node_limit is None else node_limit
         self.nodes = 0
         self.count = 0
         self.solutions = []
         self.stack = []
 
+    def column(self, sizes):
+        """(element, size) of the uncovered column with fewest options,
+        the lowest element id on ties."""
+        fields = sizes.to_bytes(self.nbytes, "little")
+        if self.typecode == "B":  # the usual case: one memchr per size tried
+            least = 0
+            while (col := fields.find(least)) < 0:
+                least += 1
+            return col, least
+        fields = array(self.typecode, fields)
+        if sys.byteorder == "big":
+            fields.byteswap()
+        least = min(fields)
+        return fields.index(least), least
+
+    def select(self, active, sizes, p):
+        """Child state after option p joins the partial cover."""
+        gone = active & self.conflict[p]
+        sizes += self.tag[p]
+        vec = self.vec
+        rest = gone
+        while rest:  # bit_ids inlined here and in search: its generator costs ~15 %
+            low = rest & -rest
+            sizes -= vec[low.bit_length() - 1]
+            rest ^= low
+        return active ^ gone, sizes
+
     def emit(self):
         self.count += 1
         if self.store:
-            self.solutions.append(tuple(sorted(self.stack)))
+            self.solutions.append(tuple(sorted(self.order[p] for p in self.stack)))
         if self.max_solutions is not None and self.count >= self.max_solutions:
             raise _Stop
 
-    def search(self):
-        dlx = self.dlx
-        col = dlx.choose_column()
-        if col == 0:
+    def search(self, active, sizes):
+        if sizes == self.done:
             self.emit()
             return
-        if dlx.size[col] == 0:
+        col, least = self.column(sizes)
+        if not least:
             return
-        dlx.cover(col)
-        r = dlx.D[col]
-        while r != col:
+        rows = active & self.cols[col]
+        while rows:
+            low = rows & -rows
+            rows ^= low
+            p = low.bit_length() - 1
             self.nodes += 1
-            if self.node_limit is not None and self.nodes > self.node_limit:
+            if self.nodes > self.node_limit:
                 raise _Budget
-            self.stack.append(dlx.ROW[r])
-            j = dlx.RR[r]
-            while j != r:
-                dlx.cover(dlx.C[j])
-                j = dlx.RR[j]
-            self.search()
-            j = dlx.RL[r]
-            while j != r:
-                dlx.uncover(dlx.C[j])
-                j = dlx.RL[j]
+            self.stack.append(p)
+            self.search(*self.select(active, sizes, p))
             self.stack.pop()
-            r = dlx.D[r]
-        dlx.uncover(col)
 
 
 def _run_subtree(instance, option_order, forced, store, max_solutions, node_limit):
-    """Search the subtree with one root option preselected.
+    """Search the subtree with the root option at position ``forced``.
 
     Returns (solutions, count, nodes, completed, budget_hit); the forced
     root try counts as one node, matching the sequential count."""
-    dlx = _Dlx(instance, option_order)
-    run = _Run(dlx, store, max_solutions, node_limit)
+    run = _Run(instance, option_order, store, max_solutions, node_limit)
     run.nodes = 1
-    if node_limit is not None and run.nodes > node_limit:
+    if run.nodes > run.node_limit:
         return [], 0, run.nodes, False, True
     run.stack.append(forced)
-    dlx.select_option(forced)
     try:
-        run.search()
+        run.search(*run.select(run.active, run.sizes, forced))
         return run.solutions, run.count, run.nodes, True, False
     except _Stop:
         return run.solutions, run.count, run.nodes, False, False
@@ -338,11 +295,10 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
         return finish([()], 1, 0, True, False)
 
     if workers <= 1:
-        dlx = _Dlx(instance, option_order)
-        run = _Run(dlx, store, max_solutions, node_limit)
+        run = _Run(instance, option_order, store, max_solutions, node_limit)
         completed, budget_hit = True, False
         try:
-            run.search()
+            run.search(run.active, run.sizes)
         except _Stop:
             completed = False
         except _Budget:
@@ -351,15 +307,11 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
 
     # Parallel: deterministic root split.  The tasks traverse exactly
     # the subtrees the sequential search would, in the same order.
-    probe = _Dlx(instance, option_order)
-    col = probe.choose_column()
-    if probe.size[col] == 0:
+    probe = _Run(instance, option_order, store, max_solutions, node_limit)
+    col, least = probe.column(probe.sizes)
+    if not least:
         return finish([], 0, 0, True, False)
-    branch = []
-    r = probe.D[col]
-    while r != col:
-        branch.append(probe.ROW[r])
-        r = probe.D[r]
+    branch = bit_ids(probe.cols[col])
     args = [(instance.n_elements, instance.options, instance.names,
              option_order, forced, store, max_solutions, node_limit)
             for forced in branch]
@@ -490,14 +442,12 @@ def pairwise_intersection_matrix(certificate: SearchCertificate,
     """
     if kind not in ("ovoid", "spread"):
         raise ValueError("kind must be 'ovoid' or 'spread'")
-    sols = [set(s) for s in certificate.solutions]
-    n = len(sols)
-    m = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i, n):
-            c = len(sols[i] & sols[j])
-            m[i, j] = m[j, i] = c
-    return m
+    sols = certificate.solutions
+    width = 1 + max((max(s) for s in sols if s), default=-1)
+    a = np.zeros((len(sols), width), dtype=np.int64)
+    for i, s in enumerate(sols):
+        a[i, list(s)] = 1
+    return a @ a.T
 
 
 # ----------------------------------------------------------------------

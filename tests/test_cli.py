@@ -14,7 +14,15 @@ from pathlib import Path
 import pytest
 
 import qgeom
-from qgeom.cli import EXIT_BUDGET, EXIT_ERROR, EXIT_NONEXISTENCE, EXIT_OK, main
+from qgeom.cli import (
+    EXIT_BUDGET,
+    EXIT_ERROR,
+    EXIT_NONEXISTENCE,
+    EXIT_OK,
+    EXIT_USAGE,
+    build_parser,
+    main,
+)
 
 GOLDEN_TRIANGLE_Q2 = """\
 2-(7,3,1)_2 lambda triangle (rows i+j = 0..t, left to right: lambda_(i+j,0) .. lambda_(0,i+j)):
@@ -227,6 +235,52 @@ def test_gq_check_rejects_unknown_line_ids(line_id, tmp_path, capsys):
     assert f"line id {line_id} outside the structure" in err
 
 
+def _one_error_line(code, out, err):
+    assert code == EXIT_ERROR and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv", [("gq", "check"), ("gq", "dual"), ("search", "spreads")])
+def test_label_entry_outside_the_field_is_rejected(argv, tmp_path, capsys):
+    f = tmp_path / "w2.json"
+    run(capsys, "gq", "build", "--type", "W", "--q", "2", "--out", str(f))
+    payload = json.loads(f.read_text())
+    assert payload["labels"]["points"][2]["rows"] == [[0, 0, 1, 1]]
+    payload["labels"]["points"][2]["rows"] = [[0, 0, 1, 7]]  # still RREF, but 7 >= q
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(f))
+    _one_error_line(code, out, err)
+    assert "[0, 2)" in err
+
+
+@pytest.mark.parametrize("argv", [("gq", "check"), ("gq", "dual"), ("search", "ovoids"),
+                                  ("design", "geometric")])
+@pytest.mark.parametrize("payload", [[1, 2], 3, "W(2)", None])
+def test_payload_that_is_not_an_object_is_rejected(argv, payload, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(f))
+    _one_error_line(code, out, err)
+    assert "must be a JSON object" in err
+
+
+@pytest.mark.parametrize("labels", [[1], {"points": 5}, {"lines": "x"}])
+def test_labels_of_the_wrong_shape_are_rejected(labels, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"schema_version": 1, "points": 2, "lines": 1,
+                             "incidence": [[0], [0]], "labels": labels}))
+    _one_error_line(*run(capsys, "gq", "check", str(f)))
+
+
+@pytest.mark.parametrize("field,value", [("v", "4"), ("k", None), ("q", 2.0), ("blocks", "x")])
+def test_block_set_fields_of_the_wrong_type_are_rejected(field, value, tmp_path, capsys):
+    payload = {"schema_version": 1, "v": 4, "k": 2, "q": 2, "blocks": []}
+    payload[field] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    _one_error_line(*run(capsys, "design", "geometric", str(f)))
+
+
 # ----------------------------------------------------------------------
 # search
 # ----------------------------------------------------------------------
@@ -257,6 +311,25 @@ def test_search_exit_codes(q4_2_file, tmp_path, capsys):
     assert code == EXIT_BUDGET
     payload = json.loads(cert.read_text())
     assert payload["completed"] is False
+
+
+@pytest.mark.parametrize("flag,value", [("--limit", "-5"), ("--limit", "-1e3"),
+                                        ("--limit", "1.5"), ("--limit", "nan"),
+                                        ("--max-solutions", "0"), ("--max-solutions", "-2")])
+def test_search_budget_flags_reject_bad_values(flag, value, q4_2_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "ovoids", q4_2_file, flag, value])
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_search_budget_flags_parse_exactly():
+    args = build_parser().parse_args(["search", "ovoids", "x.json",
+                                      "--limit", "9007199254740993",
+                                      "--max-solutions", "1e7"])
+    assert args.limit == 9007199254740993 and type(args.limit) is int
+    assert args.max_solutions == 10 ** 7 and type(args.max_solutions) is int
+    assert build_parser().parse_args(["search", "ovoids", "x.json", "--limit", "0"]).limit == 0
 
 
 def test_search_pg_spreads_writes_spread_file(tmp_path, capsys):

@@ -445,3 +445,13 @@ def test_block_set_validation():
     with pytest.raises(ValueError):
         BlockSet(v=4, q=2, k=2,
                  blocks=frozenset(enumerate_subspaces(4, 3, F2)[:1]))
+
+
+@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (4, 2, 3), (5, 3, 2), (6, 2, 2)])
+def test_sorted_blocks_is_subspace_order(v, k, q):
+    spec = field_new(q)
+    every = block_set(enumerate_subspaces(v, k, spec), v=v, q=q, k=k)
+    assert every.sorted_blocks() == sorted(every.blocks) == enumerate_subspaces(v, k, spec)
+    if v % k == 0:
+        spread = desarguesian_spread(v, k, spec)
+        assert spread.sorted_blocks() == sorted(spread.blocks)

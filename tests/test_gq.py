@@ -28,7 +28,14 @@ from qgeom.gq import (
     structure_from_json,
     structure_to_json,
 )
-from qgeom.projspace import contains, enumerate_subspaces, form_value, subspace_points, symplectic_form
+from qgeom.projspace import (
+    contains,
+    enumerate_subspaces,
+    form_value,
+    join,
+    subspace_points,
+    symplectic_form,
+)
 
 
 def grid3x3():
@@ -259,6 +266,33 @@ def test_elliptic_check_rejects_mixed_ambient_labels():
     bad_points = replace(q4, point_labels=q4.point_labels[:-1] + (foreign_point,))
     with pytest.raises(AmbientMismatchError):
         is_elliptic_quadric_ovoid(bad_points, ovoid)
+
+
+def test_elliptic_check_false_verdicts():
+    q4 = build_q4(2)
+    ovoid = [0, 2, 5, 9, 13]
+    labels = q4.point_labels
+    outside = next(i for i in range(q4.n_points) if i not in ovoid)
+    # an ovoid point relabelled off the section: the labels span PG(4,2)
+    swapped = list(labels)
+    swapped[ovoid[0]], swapped[outside] = labels[outside], labels[ovoid[0]]
+    assert not is_elliptic_quadric_ovoid(replace(q4, point_labels=tuple(swapped)), ovoid)
+    # a second point carrying an ovoid label: the section is too big
+    doubled = labels[:outside] + (labels[ovoid[0]],) + labels[outside + 1:]
+    assert not is_elliptic_quadric_ovoid(replace(q4, point_labels=doubled), ovoid)
+    # a line label inside the span of the ovoid
+    chord = join(labels[ovoid[0]], labels[ovoid[1]])
+    lines = (chord,) + q4.line_labels[1:]
+    assert not is_elliptic_quadric_ovoid(replace(q4, line_labels=lines), ovoid)
+
+
+def test_elliptic_check_rejects_mixed_ambient_ovoid_labels():
+    q4 = build_q4(2)
+    ovoid = [0, 2, 5, 9, 13]
+    foreign_point = enumerate_subspaces(5, 1, field_new(3))[0]
+    labels = q4.point_labels[:9] + (foreign_point,) + q4.point_labels[10:]
+    with pytest.raises(AmbientMismatchError):
+        is_elliptic_quadric_ovoid(replace(q4, point_labels=labels), ovoid)
 
 
 def test_elliptic_check_rejects_non_ovoid():

@@ -2,32 +2,42 @@
 
 The counting claims are pinned against independent oracles: plain
 subset filtering over itertools.combinations for the small GQ cases,
-and a naive recursive backtracker (no dancing links, no heuristics
-shared with the solver) for the PG(3,2) spread count.
+and a naive recursive backtracker (no bitsets, no heuristics shared
+with the solver) for the PG(3,2) spread count.  The search tree itself
+(node counts, solution order) is locked by pinned digests and by a
+set-based Algorithm X with the same column and row rules.
 """
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeom.designs import is_geometric_spread
 from qgeom.errors import BudgetExceededError
 from qgeom.gf import field_new
 from qgeom.gq import build_q4, build_w, incidence_from_lines, is_gq_ovoid, is_gq_spread
-from qgeom.projspace import enumerate_subspaces, point_mask, q_number, subspace_points
+from qgeom.projspace import bit_ids, enumerate_subspaces, point_mask, q_number, subspace_points
 from qgeom.search import (
     ExactCoverInstance,
+    _Run,
     certificate_from_json,
     certificate_to_json,
     enumerate_gq_ovoids,
     enumerate_gq_spreads,
     enumerate_pg_line_spreads,
     exact_cover_instance,
+    gq_ovoid_instance,
+    gq_spread_instance,
     instance_digest,
     pairwise_intersection_matrix,
     partition_into_ovoids,
     partition_into_spreads,
+    pg_line_spread_instance,
     pg_spread_blocks,
     solve_exact_cover,
 )
@@ -110,6 +120,123 @@ def test_node_budget_raises_with_partial_certificate():
 
 
 # ----------------------------------------------------------------------
+# The search tree is locked
+# ----------------------------------------------------------------------
+
+def _pin(cert):
+    blob = json.dumps([list(s) for s in cert.solutions]).encode()
+    return f"{cert.nodes_visited}/{cert.solution_count}/{hashlib.sha256(blob).hexdigest()[:16]}"
+
+
+TREE_PINS = [  # nodes/solutions/digest with the default order, then with seed 0
+    ("ovoids", 3, "280/36/d68f59e303bc6ca1", "280/36/16aa3ddd657c1334"),
+    ("spreads", 3, "280/36/47e1ec0d2b281685", "280/36/4cc3ffe03631bf6c"),
+    ("ovoids", 4, "1825/120/0c26f1691a51282b", "1825/120/d31d99f4f772c943"),
+    ("spreads", 4, "1825/120/435bbcd4f88ef9ed", "1825/120/3b752d173e2a5201"),
+    ("ovoids", 5, "15676/300/e1350219484dc818", "15676/300/7158ae82a6362fc4"),
+    ("spreads", 5, "15311/300/be950a6fdfa87a8e", "15311/300/2ecc9a3b3a6bfd3b"),
+]
+
+
+@pytest.mark.parametrize("what,q,unseeded,seeded", TREE_PINS)
+def test_gq_search_trees_are_pinned(what, q, unseeded, seeded):
+    instance = (gq_ovoid_instance(build_q4(q)) if what == "ovoids"
+                else gq_spread_instance(build_w(q)))
+    assert _pin(solve_exact_cover(instance, "all")) == unseeded
+    assert _pin(solve_exact_cover(instance, "all", seed=0)) == seeded
+
+
+@pytest.mark.parametrize("q,nodes", [(2, 2), (3, 9), (4, 24), (5, 50)])
+def test_partition_trees_are_pinned(q, nodes):
+    cert = partition_into_ovoids(build_q4(q), seed=0)
+    assert cert.nonexistence_certified and cert.nodes_visited == nodes
+
+
+def test_pg_spread_trees_are_pinned():
+    pg33 = pg_line_spread_instance(4, F3)
+    assert _pin(solve_exact_cover(pg33, "all")) == "47866/8424/62a9e38dfeccec6a"
+    assert _pin(solve_exact_cover(pg33, "all", seed=0)) == "47866/8424/5f7dccb0a2488458"
+    pg32 = pg_line_spread_instance(4, F2)
+    assert _pin(solve_exact_cover(pg32, "all", seed=0)) == "203/56/789479ff4819f05f"
+    pg52 = pg_line_spread_instance(6, F2)
+    assert _pin(solve_exact_cover(pg52, "first", max_solutions=10, seed=7)) == \
+        "67/10/d2ec5c3a54cfb21b"
+
+
+class _Halt(Exception):
+    pass
+
+
+def _algorithm_x(instance, order, max_solutions=None, node_limit=None):
+    """Textbook Algorithm X on Python sets: the column with fewest live
+    options (lowest element on ties), its options in the given order.
+    Returns (solutions, nodes, halted)."""
+    rows = [set(bit_ids(instance.options[opt])) for opt in order]
+    found, nodes = [], [0]
+
+    def search(uncovered, live, chosen):
+        if not uncovered:
+            found.append(tuple(sorted(order[p] for p in chosen)))
+            if max_solutions is not None and len(found) >= max_solutions:
+                raise _Halt
+            return
+        col = min(sorted(uncovered), key=lambda e: sum(e in rows[p] for p in live))
+        for p in [p for p in live if col in rows[p]]:
+            nodes[0] += 1
+            if node_limit is not None and nodes[0] > node_limit:
+                raise _Halt
+            search(uncovered - rows[p], [r for r in live if not rows[r] & rows[p]],
+                   chosen + [p])
+
+    try:
+        search(set(range(instance.n_elements)), list(range(len(order))), [])
+    except _Halt:
+        return found, nodes[0], True
+    return found, nodes[0], False
+
+
+@st.composite
+def _runs(draw):
+    n = draw(st.integers(1, 7))
+    options = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=14))
+    mode = draw(st.sampled_from(("all", "first", "count")))
+    return (ExactCoverInstance(n, tuple(options)), mode,
+            draw(st.none() | st.integers(0, 40)), draw(st.none() | st.integers(1, 4)),
+            draw(st.none() | st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_runs())
+def test_solver_matches_set_based_algorithm_x(run):
+    instance, mode, node_limit, max_solutions, seed = run
+    try:
+        cert = solve_exact_cover(instance, mode, node_limit=node_limit,
+                                 max_solutions=max_solutions, seed=seed)
+        budget_hit = False
+    except BudgetExceededError as exc:
+        cert, budget_hit = exc.certificate, True
+    cap = 1 if mode == "first" and max_solutions is None else max_solutions
+    found, nodes, halted = _algorithm_x(instance, cert.option_order, cap, node_limit)
+    assert cert.nodes_visited == nodes
+    assert cert.solution_count == len(found)
+    assert cert.solutions == (() if mode == "count" else tuple(found))
+    assert cert.completed == (not halted)
+    assert budget_hit == (node_limit is not None and nodes > node_limit)
+
+
+def test_wide_columns_use_sixteen_bit_sizes():
+    # every nonempty subset of 8 elements: element 0 lies in 128 options,
+    # one past what an 8-bit size field with its covered tag can hold
+    instance = ExactCoverInstance(8, tuple(range(1, 256)))
+    order = tuple(range(255))
+    assert _Run(instance, order, True, None, None).nbytes == 16
+    cert = solve_exact_cover(instance, "all")
+    assert cert.solution_count == 4140  # the Bell number B_8
+    found, nodes, _ = _algorithm_x(instance, order)
+    assert cert.solutions == tuple(found) and cert.nodes_visited == nodes
+
+
+# ----------------------------------------------------------------------
 # Grid ground truth (fully hand-checkable)
 # ----------------------------------------------------------------------
 
@@ -183,6 +310,18 @@ def test_w2_partition_nonexistence_and_matrix_agreement():
     m = pairwise_intersection_matrix(enumerate_gq_spreads(w2), "spread")
     off = m[~np.eye(len(m), dtype=bool)]
     assert (off >= 1).all()  # pairwise intersecting, so no partition
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_intersection_matrix_matches_set_intersections(q):
+    for cert, kind in ((enumerate_gq_ovoids(build_q4(q), seed=0), "ovoid"),
+                       (enumerate_gq_spreads(build_w(q)), "spread")):
+        m = pairwise_intersection_matrix(cert, kind)
+        sols = [set(s) for s in cert.solutions]
+        assert m.dtype == np.int64
+        assert m.tolist() == [[len(a & b) for b in sols] for a in sols]
+    empty = partition_into_ovoids(build_q4(q))
+    assert pairwise_intersection_matrix(empty).shape == (0, 0)
 
 
 def test_q4_2_partition_nonexistence():
@@ -261,6 +400,13 @@ def test_worker_counts_do_not_change_results():
         assert cert.solution_count == base.solution_count
         assert cert.nodes_visited == base.nodes_visited
         assert cert.digest == base.digest
+
+
+def test_two_workers_match_sequential_on_q4_3_ovoids():
+    instance = gq_ovoid_instance(build_q4(3))
+    base = solve_exact_cover(instance, "all", seed=0)
+    cert = solve_exact_cover(instance, "all", seed=0, workers=2)
+    assert cert == base and _pin(cert) == "280/36/16aa3ddd657c1334"
 
 
 def test_worker_counts_agree_on_partitions():
