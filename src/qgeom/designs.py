@@ -401,7 +401,7 @@ def blockset_to_json(blocks: BlockSet) -> dict:
 
 
 def blockset_from_json(obj: dict) -> BlockSet:
-    obj = json_object(obj, "block set")
+    obj = json_object(obj, "block set", "v", "q", "k", "blocks")
     if any(type(obj[f]) is not int for f in "vqk") or not isinstance(obj["blocks"], list):
         raise PayloadError("a block set needs integer v, q and k and a list of blocks")
     blocks = frozenset(subspace_from_json(b) for b in obj["blocks"])

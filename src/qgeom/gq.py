@@ -13,7 +13,7 @@ per line and t+1 lines per point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .projspace import (
     json_object,
     mask_of,
     point_mask,
+    point_to_subspace,
     require_ambient,
     subspace_from_json,
     subspace_from_rows,
@@ -79,9 +80,19 @@ class IncidenceStructure:
         return m
 
     def line_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(pts) for pts in self.line_points)
+        """Bit-packed point set of each line, computed once per structure."""
+        return self._line_masks
 
     def point_masks(self) -> tuple[int, ...]:
+        """Bit-packed line pencil of each point, computed once per structure."""
+        return self._point_masks
+
+    @cached_property
+    def _line_masks(self) -> tuple[int, ...]:
+        return tuple(mask_of(pts) for pts in self.line_points)
+
+    @cached_property
+    def _point_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(ls) for ls in self.point_lines)
 
 
@@ -134,7 +145,7 @@ def build_w(q: int) -> IncidenceStructure:
         if form_value(form, b0, b1, q) == 0:
             iso_lines.append(L)
     line_points = [tuple(bit_ids(point_mask(L))) for L in iso_lines]
-    point_labels = tuple(Subspace(v=4, k=1, q=q, basis=(p.vector,)) for p in points)
+    point_labels = tuple(point_to_subspace(p, 4, q) for p in points)
     return incidence_from_lines(len(points), line_points,
                                 point_labels=point_labels,
                                 line_labels=tuple(iso_lines))
@@ -166,7 +177,7 @@ def build_q4(q: int) -> IncidenceStructure:
         if (_parabolic_value(b0, q) == 0 and _parabolic_value(b1, q) == 0
                 and _parabolic_value([ops.add(x, y) for x, y in zip(b0, b1)], q) == 0):
             lines.append(L)
-    point_labels = tuple(Subspace(v=5, k=1, q=q, basis=(p.vector,)) for p in quadric)
+    point_labels = tuple(point_to_subspace(p, 5, q) for p in quadric)
     return incidence_from_lines(
         len(quadric), [[idx[i] for i in bit_ids(point_mask(L))] for L in lines],
         point_labels=point_labels, line_labels=tuple(lines))
@@ -346,20 +357,21 @@ def _connectivity_order(adj: list[int], deg: list[int]) -> list[int]:
 
 def is_gq_spread(structure: IncidenceStructure, lineset) -> bool:
     """Whether each point is incident with exactly one chosen line."""
-    return _each_meets_once(structure.point_lines, lineset, structure.n_lines, "line")
+    return _each_meets_once(structure.point_masks(), lineset, structure.n_lines, "line")
 
 
 def is_gq_ovoid(structure: IncidenceStructure, pointset) -> bool:
     """Whether each line is incident with exactly one chosen point."""
-    return _each_meets_once(structure.line_points, pointset, structure.n_points, "point")
+    return _each_meets_once(structure.line_masks(), pointset, structure.n_points, "point")
 
 
-def _each_meets_once(incidence, ids, n: int, kind: str) -> bool:
+def _each_meets_once(row_masks, ids, n: int, kind: str) -> bool:
     chosen = set(ids)
     for x in chosen:
         if not 0 <= x < n:
             raise UnknownIdError(f"{kind} id {x} outside the structure")
-    return all(sum(1 for y in row if y in chosen) == 1 for row in incidence)
+    chosen_mask = mask_of(chosen)
+    return all((m & chosen_mask).bit_count() == 1 for m in row_masks)
 
 
 def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
@@ -415,7 +427,7 @@ def structure_to_json(s: IncidenceStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> IncidenceStructure:
-    obj = json_object(obj, "structure")
+    obj = json_object(obj, "structure", "points", "lines", "incidence")
     n_points, n_lines, incidence = obj["points"], obj["lines"], obj["incidence"]
     if type(n_points) is not int or type(n_lines) is not int or not isinstance(incidence, list):
         raise PayloadError("structure needs integer points and lines and an incidence list")

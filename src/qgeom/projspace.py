@@ -6,6 +6,11 @@ be hashed and placed in sets.  Points (1-subspaces) additionally get dense
 integer ids by the lexicographic rank of their normalized vector; all
 incidence data downstream is bit-packed over these ids.
 
+A basis is validated where it enters from outside: the public
+``Subspace(...)`` constructor and ``subspace_from_json``.  Bases built
+here (``rref`` output, enumeration, points, the zero and full space) are
+RREF by construction and are wrapped by ``_canonical`` without the check.
+
 A subspace's point mask (``point_mask``) is computed on first use and
 memoized on that subspace object, so it lives exactly as long as the
 subspace does.  Hot verification loops test containment within one
@@ -67,7 +72,7 @@ def q_number(v: int, q: int) -> int:
 def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row-echelon form (nonzero rows only) of integer-index rows."""
     ops = ops_for_order(q)
-    sub, mul, inv = ops.sub, ops.mul, ops.inv
+    sub, mul, inv = ops._sub, ops._mul, ops._inv
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -78,13 +83,13 @@ def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
             continue
         m[r], m[piv] = m[piv], m[r]
         if m[r][c] != 1:
-            f = inv(m[r][c])
-            m[r] = [mul(f, x) for x in m[r]]
+            scale = mul[inv[m[r][c]]]
+            m[r] = [scale[x] for x in m[r]]
         lead = m[r]
         for i in range(nrows):
             if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], lead)]
+                scale = mul[m[i][c]]
+                m[i] = [sub[x][scale[y]] for x, y in zip(m[i], lead)]
         r += 1
         if r == nrows:
             break
@@ -140,19 +145,28 @@ class Subspace:
         return mask_of(p.index for p in subspace_points(self))
 
 
+def _canonical(v: int, k: int, q: int, basis) -> Subspace:
+    """A Subspace over a basis that is RREF by construction, unvalidated."""
+    U = object.__new__(Subspace)
+    U.__dict__.update(v=v, k=k, q=q, basis=basis)
+    return U
+
+
 def subspace_from_rows(rows, v: int, q: int) -> Subspace:
     """Canonical subspace spanned by the given coordinate rows."""
     basis = rref(rows, q)
-    return Subspace(v=v, k=len(basis), q=q, basis=basis)
+    if any(len(r) != v for r in basis):
+        raise ValueError("basis shape does not match (k, v)")
+    return _canonical(v, len(basis), q, basis)
 
 
 def zero_subspace(v: int, q: int) -> Subspace:
-    return Subspace(v=v, k=0, q=q, basis=())
+    return _canonical(v, 0, q, ())
 
 
 def full_space(v: int, q: int) -> Subspace:
     ident = tuple(tuple(1 if i == j else 0 for j in range(v)) for i in range(v))
-    return Subspace(v=v, k=v, q=q, basis=ident)
+    return _canonical(v, v, q, ident)
 
 
 def enumerate_subspaces(v: int, k: int, spec: FieldSpec) -> list[Subspace]:
@@ -173,24 +187,16 @@ def _enumerate_cached(v: int, k: int, q: int) -> tuple[Subspace, ...]:
     if count > ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"{count} subspaces exceed the enumeration budget {ENUMERATION_BUDGET}")
-    if k == 0:
-        return (zero_subspace(v, q),)
-    out = []
+    bases = []
     for pivots in itertools.combinations(range(v), k):
-        pivot_set = set(pivots)
-        free = [(i, c) for i in range(k) for c in range(pivots[i] + 1, v)
-                if c not in pivot_set]
-        template = [[0] * v for _ in range(k)]
-        for i, p in enumerate(pivots):
-            template[i][p] = 1
-        for vals in itertools.product(range(q), repeat=len(free)):
-            rows = [row[:] for row in template]
-            for (i, c), x in zip(free, vals):
-                rows[i][c] = x
-            out.append(Subspace(v=v, k=k, q=q,
-                                basis=tuple(tuple(r) for r in rows)))
-    out.sort()
-    return tuple(out)
+        per_row = []
+        for p in pivots:  # 1 at the pivot p, free entries right of p off the pivots
+            entries = [range(q) if c > p and c not in pivots else (int(c == p),)
+                       for c in range(v)]
+            per_row.append(itertools.product(*entries))
+        bases.extend(itertools.product(*per_row))
+    bases.sort()
+    return tuple(_canonical(v, k, q, basis) for basis in bases)
 
 
 def require_ambient(v: int, q: int, subspaces) -> None:
@@ -209,14 +215,15 @@ def contains(outer: Subspace, inner: Subspace) -> bool:
     if inner.k > outer.k:
         return False
     ops = ops_for_order(outer.q)
-    sub, mul = ops.sub, ops.mul
+    sub, mul = ops._sub, ops._mul
     pivots = _pivot_cols(outer.basis)
     for row in inner.basis:
         vec = list(row)
         for brow, p in zip(outer.basis, pivots):
             f = vec[p]
             if f:
-                vec = [sub(x, mul(f, y)) for x, y in zip(vec, brow)]
+                scale = mul[f]
+                vec = [sub[x][scale[y]] for x, y in zip(vec, brow)]
         if any(vec):
             return False
     return True
@@ -303,7 +310,7 @@ def point_of_vector(vec, v: int, q: int) -> PointId:
 
 
 def point_to_subspace(P: PointId, v: int, q: int) -> Subspace:
-    return Subspace(v=v, k=1, q=q, basis=(P.vector,))
+    return _canonical(v, 1, q, (P.vector,))
 
 
 def subspace_points(U: Subspace) -> tuple[PointId, ...]:
@@ -320,12 +327,14 @@ def subspace_points(U: Subspace) -> tuple[PointId, ...]:
 
 def _combine(coeffs, rows, v: int, ops) -> list[int]:
     """The length-v vector sum_i coeffs[i] * rows[i]."""
+    add, mul = ops._add, ops._mul
     vec = [0] * v
     for ci, row in zip(coeffs, rows):
         if ci:
+            scale = mul[ci]
             for j, x in enumerate(row):
                 if x:
-                    vec[j] = ops.add(vec[j], ops.mul(ci, x))
+                    vec[j] = add[vec[j]][scale[x]]
     return vec
 
 
@@ -485,15 +494,18 @@ def subspace_to_json(U: Subspace) -> dict:
     return {"v": U.v, "k": U.k, "q": U.q, "rows": [list(r) for r in U.basis]}
 
 
-def json_object(obj, what: str) -> dict:
-    """obj itself if it is a JSON object; PayloadError otherwise."""
+def json_object(obj, what: str, *keys: str) -> dict:
+    """obj itself if it is a JSON object with the given keys; PayloadError otherwise."""
     if not isinstance(obj, dict):
         raise PayloadError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise PayloadError(f"{what} payload has no key {key!r}")
     return obj
 
 
 def subspace_from_json(obj: dict) -> Subspace:
-    obj = json_object(obj, "subspace")
+    obj = json_object(obj, "subspace", "v", "k", "q", "rows")
     v, k, q, rows = obj["v"], obj["k"], obj["q"], obj["rows"]
     if any(type(x) is not int for x in (v, k, q)):
         raise PayloadError("subspace v, k and q must be integers")

@@ -281,6 +281,60 @@ def test_block_set_fields_of_the_wrong_type_are_rejected(field, value, tmp_path,
     _one_error_line(*run(capsys, "design", "geometric", str(f)))
 
 
+def _w2_payload(tmp_path, capsys):
+    f = tmp_path / "w2.json"
+    run(capsys, "gq", "build", "--type", "W", "--q", "2", "--out", str(f))
+    return f, json.loads(f.read_text())
+
+
+def test_structure_payload_missing_a_key_names_it(tmp_path, capsys):
+    f, payload = _w2_payload(tmp_path, capsys)
+    del payload["lines"]
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "gq", "check", str(f))
+    _one_error_line(code, out, err)
+    assert "structure payload has no key 'lines'" in err
+
+
+def test_subspace_payload_missing_a_key_names_it(tmp_path, capsys):
+    f, payload = _w2_payload(tmp_path, capsys)
+    del payload["labels"]["points"][3]["rows"]
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "gq", "check", str(f))
+    _one_error_line(code, out, err)
+    assert "subspace payload has no key 'rows'" in err
+
+
+def test_block_set_payload_missing_a_key_names_it(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"schema_version": 1, "v": 4, "k": 2, "q": 2}))
+    code, out, err = run(capsys, "design", "geometric", str(f))
+    _one_error_line(code, out, err)
+    assert "block set payload has no key 'blocks'" in err
+
+
+def test_line_label_with_decreasing_pivots_is_rejected(tmp_path, capsys):
+    f, payload = _w2_payload(tmp_path, capsys)
+    rows = payload["labels"]["lines"][0]["rows"]
+    payload["labels"]["lines"][0]["rows"] = rows[::-1]
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "gq", "check", str(f))
+    _one_error_line(code, out, err)
+    assert err == "error: pivot columns must strictly increase\n"
+
+
+def test_line_label_with_an_uncleared_pivot_column_is_rejected(tmp_path, capsys):
+    f, payload = _w2_payload(tmp_path, capsys)
+    top, bottom = payload["labels"]["lines"][0]["rows"]
+    # adding the second row to the first keeps both pivots but puts a 1
+    # above the second pivot
+    payload["labels"]["lines"][0]["rows"] = [[x ^ y for x, y in zip(top, bottom)], bottom]
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "gq", "check", str(f))
+    _one_error_line(code, out, err)
+    assert "pivot columns must be cleared" in err
+
+
 # ----------------------------------------------------------------------
 # search
 # ----------------------------------------------------------------------

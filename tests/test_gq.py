@@ -36,6 +36,7 @@ from qgeom.projspace import (
     subspace_points,
     symplectic_form,
 )
+from qgeom.search import gq_ovoid_instance, gq_spread_instance, solve_exact_cover
 
 
 def grid3x3():
@@ -218,6 +219,33 @@ def test_all_points_and_empty_set_are_not_ovoids():
     q4 = build_q4(2)
     assert not is_gq_ovoid(q4, set(range(q4.n_points)))
     assert not is_gq_ovoid(q4, set())
+
+
+def _meets_once_reference(incidence, ids):
+    """The per-row generator count that the mask test replaced."""
+    chosen = set(ids)
+    return all(sum(1 for y in row if y in chosen) == 1 for row in incidence)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_meets_once_mask_test_agrees_with_the_row_count(q):
+    for s in (build_q4(q), build_w(q)):
+        assert s.line_masks() is s.line_masks() and s.point_masks() is s.point_masks()
+        ovoids = solve_exact_cover(gq_ovoid_instance(s), "all").solutions
+        spreads = solve_exact_cover(gq_spread_instance(s), "all").solutions
+        # for odd q, Q(4,q) has no spreads and W(q) has no ovoids
+        assert max(len(ovoids), len(spreads)) == {2: 6, 3: 36, 4: 120, 5: 300}[q]
+        for pred, incidence, sets, n in ((is_gq_ovoid, s.line_points, ovoids, s.n_points),
+                                         (is_gq_spread, s.point_lines, spreads, s.n_lines)):
+            for chosen in sets:
+                extra = next(x for x in range(n) if x not in chosen)
+                variants = (chosen,                  # meets every row once
+                            chosen + (extra,),       # meets some row twice
+                            chosen[1:],              # misses some row
+                            chosen[1:] + (extra,))   # may do both
+                for ids in variants:
+                    assert pred(s, ids) == _meets_once_reference(incidence, ids)
+                assert pred(s, chosen) and not pred(s, variants[1]) and not pred(s, variants[2])
 
 
 def test_unknown_ids_rejected():

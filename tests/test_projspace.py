@@ -5,9 +5,12 @@ Gaussian binomial product formula versus RREF generation, plus (for the
 small cases) a span-closure oracle that never touches echelon forms.
 """
 
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgeom.errors import (
     AmbientMismatchError,
@@ -17,7 +20,7 @@ from qgeom.errors import (
     NotIncidentError,
 )
 from qgeom import projspace
-from qgeom.gf import arith, field_new
+from qgeom.gf import arith, field_new, ops_for_order
 from qgeom.projspace import (
     Subspace,
     all_points,
@@ -358,3 +361,122 @@ def test_subspaces_within():
 def test_subspace_json_round_trip():
     for S in enumerate_subspaces(4, 2, F3)[:10]:
         assert subspace_from_json(subspace_to_json(S)) == S
+
+
+# ----------------------------------------------------------------------
+# Trusted construction: canonical bases built without re-validation
+# ----------------------------------------------------------------------
+
+# sha256 prefixes of repr([U.basis for U in enumerate_subspaces(v, k, F_q)]),
+# recorded from the enumeration that validated every subspace and sorted
+# the dataclasses themselves.
+ENUMERATION_DIGESTS = {
+    (7, 3, 2): "8a917dde5c8addee",
+    (6, 2, 3): "ed9c8bbf69a1685f",
+    (6, 3, 3): "6b87047953316d21",
+    (5, 2, 4): "f4846e0340262689",
+    (5, 2, 5): "b791d3cc0f85ba91",
+    (4, 2, 7): "781aa999e58d5555",
+}
+
+
+@pytest.mark.parametrize("vkq", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_bases_and_order_are_pinned(vkq):
+    v, k, q = vkq
+    bases = [U.basis for U in enumerate_subspaces(v, k, field_new(q))]
+    assert hashlib.sha256(repr(bases).encode()).hexdigest()[:16] == ENUMERATION_DIGESTS[vkq]
+
+
+def _revalidated(U):
+    """U rebuilt through the public, validating constructor."""
+    return Subspace(v=U.v, k=U.k, q=U.q, basis=U.basis)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("v", [0, 1, 2, 3, 4])
+def test_validating_constructor_accepts_every_constructed_subspace(v, q):
+    spec = field_new(q)
+    built = [zero_subspace(v, q), full_space(v, q)]
+    built += [point_to_subspace(P, v, q) for P in all_points(v, spec)]
+    for k in range(v + 1):
+        built += enumerate_subspaces(v, k, spec)
+    for U in built:
+        twin = _revalidated(U)
+        assert twin == U and hash(twin) == hash(U) and repr(twin) == repr(U)
+    for k in range(v + 1):
+        grassmannian = enumerate_subspaces(v, k, spec)
+        assert grassmannian == sorted(map(_revalidated, grassmannian))  # dataclass order
+
+
+def _rref_reference(rows, q):
+    """Row reduction with one field-method call per entry."""
+    ops = arith(field_new(q))
+    m = [list(r) for r in rows]
+    nrows, ncols, r = len(m), len(m[0]) if m else 0, 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        if m[r][c] != 1:
+            f = ops.inv(m[r][c])
+            m[r] = [ops.mul(f, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return tuple(tuple(row) for row in m[:r])
+
+
+def _contains_reference(outer, inner):
+    """Containment by clearing inner's rows against outer's pivots, one
+    field-method call per entry."""
+    if inner.k > outer.k:
+        return False
+    ops = arith(field_new(outer.q))
+    pivots = [next(c for c, x in enumerate(row) if x) for row in outer.basis]
+    for row in inner.basis:
+        vec = list(row)
+        for brow, p in zip(outer.basis, pivots):
+            f = vec[p]
+            if f:
+                vec = [ops.sub(x, ops.mul(f, y)) for x, y in zip(vec, brow)]
+        if any(vec):
+            return False
+    return True
+
+
+@st.composite
+def _row_sets(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    v = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, q - 1), min_size=v, max_size=v)
+    return q, v, draw(st.lists(row, max_size=6)), draw(st.lists(row, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_sets())
+def test_row_operations_agree_with_the_method_call_reference(case):
+    q, v, rows, others = case
+    U = subspace_from_rows(rows, v, q)
+    X = subspace_from_rows(others, v, q)
+    assert U.basis == _rref_reference(rows, q)
+    assert _revalidated(U) == U and _revalidated(X) == X
+    assert contains(U, X) == _contains_reference(U, X)
+    assert contains(X, U) == _contains_reference(X, U)
+    assert contains(U, subspace_from_rows(rows[:2], v, q))
+    assert contains(join(U, X), X) and contains(U, meet(U, X))
+    ops = ops_for_order(q)
+    for c in itertools.islice(all_points(U.k, field_new(q)), 30):
+        expected = [0] * v
+        for ci, brow in zip(c.vector, U.basis):
+            expected = [ops.add(x, ops.mul(ci, y)) for x, y in zip(expected, brow)]
+        assert projspace._combine(c.vector, U.basis, v, ops) == expected
+
+
+def test_subspace_from_rows_rejects_rows_of_the_wrong_width():
+    with pytest.raises(ValueError):
+        subspace_from_rows([(1, 0, 1)], 4, 2)
