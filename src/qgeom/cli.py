@@ -98,15 +98,8 @@ class _Io:
             print(summary)
 
 
-def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return args.workers
-    env = os.environ.get("QGEOM_WORKERS")
-    return int(env) if env else 1
-
-
 def _search_kwargs(args):
-    kw = {"workers": _workers(args)}
+    kw = {"workers": args.workers}
     if getattr(args, "limit", None) is not None:
         kw["node_limit"] = args.limit
     if getattr(args, "max_solutions", None) is not None:
@@ -421,8 +414,9 @@ def _add_search_flags(p):
     p.add_argument("--max-solutions", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="option-order shuffle seed (default 0)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default QGEOM_WORKERS or 1)")
+    p.add_argument("--workers", type=_int_at_least(1),
+                   default=os.environ.get("QGEOM_WORKERS", "1"),
+                   help="worker processes, at least 1 (default QGEOM_WORKERS or 1)")
 
 
 def build_parser() -> _Parser:

@@ -214,9 +214,6 @@ class FieldOps:
             raise ZeroDivisionError("inverse of 0 in a finite field")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)

@@ -79,20 +79,14 @@ class IncidenceStructure:
             m[list(pts), j] = True
         return m
 
+    @cached_property
     def line_masks(self) -> tuple[int, ...]:
         """Bit-packed point set of each line, computed once per structure."""
-        return self._line_masks
-
-    def point_masks(self) -> tuple[int, ...]:
-        """Bit-packed line pencil of each point, computed once per structure."""
-        return self._point_masks
-
-    @cached_property
-    def _line_masks(self) -> tuple[int, ...]:
         return tuple(mask_of(pts) for pts in self.line_points)
 
     @cached_property
-    def _point_masks(self) -> tuple[int, ...]:
+    def point_masks(self) -> tuple[int, ...]:
+        """Bit-packed line pencil of each point, computed once per structure."""
         return tuple(mask_of(ls) for ls in self.point_lines)
 
 
@@ -206,7 +200,7 @@ def check_gq(structure: IncidenceStructure) -> GQCheck:
     np_, nl = structure.n_points, structure.n_lines
     if np_ == 0 or nl == 0:
         return GQCheck(False, None, False, "point and line sets must be non-empty")
-    lm = structure.line_masks()
+    lm = structure.line_masks
     # axioms (i)+(ii): no two points on two common lines
     for j in range(nl):
         for j2 in range(j + 1, nl):
@@ -327,13 +321,7 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
 
 
 def _bipartite_adjacency(s: IncidenceStructure) -> list[int]:
-    npts = s.n_points
-    adj = [0] * (npts + s.n_lines)
-    for j, pts in enumerate(s.line_points):
-        for p in pts:
-            adj[p] |= 1 << (npts + j)
-            adj[npts + j] |= 1 << p
-    return adj
+    return [m << s.n_points for m in s.point_masks] + list(s.line_masks)
 
 
 def _connectivity_order(adj: list[int], deg: list[int]) -> list[int]:
@@ -357,12 +345,12 @@ def _connectivity_order(adj: list[int], deg: list[int]) -> list[int]:
 
 def is_gq_spread(structure: IncidenceStructure, lineset) -> bool:
     """Whether each point is incident with exactly one chosen line."""
-    return _each_meets_once(structure.point_masks(), lineset, structure.n_lines, "line")
+    return _each_meets_once(structure.point_masks, lineset, structure.n_lines, "line")
 
 
 def is_gq_ovoid(structure: IncidenceStructure, pointset) -> bool:
     """Whether each line is incident with exactly one chosen point."""
-    return _each_meets_once(structure.line_masks(), pointset, structure.n_points, "point")
+    return _each_meets_once(structure.line_masks, pointset, structure.n_points, "point")
 
 
 def _each_meets_once(row_masks, ids, n: int, kind: str) -> bool:

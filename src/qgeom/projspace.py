@@ -234,7 +234,8 @@ def meet(U: Subspace, W: Subspace) -> Subspace:
     require_ambient(U.v, U.q, (W,))
     cu = _kernel(U.basis, U.v, U.q)
     cw = _kernel(W.basis, W.v, W.q)
-    return subspace_from_rows(_kernel(cu + cw, U.v, U.q), U.v, U.q)
+    basis = _kernel(cu + cw, U.v, U.q)
+    return _canonical(U.v, len(basis), U.q, basis)
 
 
 def join(U: Subspace, W: Subspace) -> Subspace:
@@ -244,7 +245,7 @@ def join(U: Subspace, W: Subspace) -> Subspace:
 
 
 def _kernel(rows, v: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """Basis of {x : M x^T = 0} for the matrix with the given rows."""
+    """RREF basis of {x : M x^T = 0} for the matrix with the given rows."""
     ops = ops_for_order(q)
     reduced = rref(rows, q)
     pivots = _pivot_cols(reduced)
@@ -423,7 +424,8 @@ def dualize(U: Subspace, form: BilinearForm) -> Subspace:
     constraints = []
     for u in U.basis:
         constraints.append(tuple(dot(grow, u, ops) for grow in form.gram))
-    return subspace_from_rows(_kernel(constraints, v, q), v, q)
+    basis = _kernel(constraints, v, q)
+    return _canonical(v, len(basis), q, basis)
 
 
 @lru_cache(maxsize=None)

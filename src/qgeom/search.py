@@ -10,6 +10,11 @@ solutions and the node count are all reproducible, which is what the
 certificates record: a completed run with zero solutions is a certified
 nonexistence whose exact tree a re-run can replay.
 
+Each emitted solution is checked once, as an exact cover of the
+instance whose digest the certificate carries.  For the GQ and PG(3,q)
+searches the options are the incidence and point masks, so that check
+is the defining predicate.
+
 Randomized option orders take an explicit seed; there is no global
 randomness.  Multi-worker runs split the root branching across
 processes; the merged solution list and count are independent of the
@@ -30,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import BlockSet, block_set, spread_holes
+from .designs import BlockSet, block_set
 from .errors import BudgetExceededError, UnknownIdError
 from .gf import FieldSpec
-from .gq import IncidenceStructure, check_gq, is_gq_ovoid, is_gq_spread
+from .gq import IncidenceStructure, check_gq
 from .projspace import bit_ids, enumerate_subspaces, mask_of, point_mask, q_number
 
 MODES = ("first", "all", "count")
@@ -81,7 +86,7 @@ class SearchCertificate:
     """Reproducible record of one exact-cover run.
 
     ``solutions`` holds option-id tuples in discovery order; every
-    emitted solution has been re-verified as an exact cover.  ``mode``
+    emitted solution has been checked as an exact cover.  ``mode``
     is the requested mode, except that a completed run with zero
     solutions is recorded as "nonexistence".  ``completed`` means the
     tree was exhausted with neither the node budget nor the solution
@@ -212,31 +217,28 @@ class _Run:
             self.stack.pop()
 
 
-def _run_subtree(instance, option_order, forced, store, max_solutions, node_limit):
-    """Search the subtree with the root option at position ``forced``.
+def _run_subtree(instance, option_order, store, max_solutions, node_limit,
+                 forced=None):
+    """Search the whole tree, or only the subtree under the root option
+    at position ``forced``.
 
-    Returns (solutions, count, nodes, completed, budget_hit); the forced
-    root try counts as one node, matching the sequential count."""
+    Returns (solutions, count, nodes, completed, budget_hit); a forced
+    root try counts as one node, matching the whole-tree count."""
     run = _Run(instance, option_order, store, max_solutions, node_limit)
-    run.nodes = 1
-    if run.nodes > run.node_limit:
-        return [], 0, run.nodes, False, True
-    run.stack.append(forced)
     try:
-        run.search(*run.select(run.active, run.sizes, forced))
+        if forced is None:
+            run.search(run.active, run.sizes)
+        else:
+            run.nodes = 1
+            if run.nodes > run.node_limit:
+                raise _Budget
+            run.stack.append(forced)
+            run.search(*run.select(run.active, run.sizes, forced))
         return run.solutions, run.count, run.nodes, True, False
     except _Stop:
         return run.solutions, run.count, run.nodes, False, False
     except _Budget:
         return run.solutions, run.count, run.nodes, False, True
-
-
-def _pool_task(args):
-    (n_elements, options, names, option_order, forced, store,
-     max_solutions, node_limit) = args
-    instance = ExactCoverInstance(n_elements, options, names)
-    return _run_subtree(instance, option_order, forced, store,
-                        max_solutions, node_limit)
 
 
 # ----------------------------------------------------------------------
@@ -295,15 +297,8 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
         return finish([()], 1, 0, True, False)
 
     if workers <= 1:
-        run = _Run(instance, option_order, store, max_solutions, node_limit)
-        completed, budget_hit = True, False
-        try:
-            run.search(run.active, run.sizes)
-        except _Stop:
-            completed = False
-        except _Budget:
-            completed, budget_hit = False, True
-        return finish(run.solutions, run.count, run.nodes, completed, budget_hit)
+        return finish(*_run_subtree(instance, option_order, store,
+                                    max_solutions, node_limit))
 
     # Parallel: deterministic root split.  The tasks traverse exactly
     # the subtrees the sequential search would, in the same order.
@@ -312,11 +307,10 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     if not least:
         return finish([], 0, 0, True, False)
     branch = bit_ids(probe.cols[col])
-    args = [(instance.n_elements, instance.options, instance.names,
-             option_order, forced, store, max_solutions, node_limit)
+    args = [(instance, option_order, store, max_solutions, node_limit, forced)
             for forced in branch]
-    with multiprocessing.Pool(processes=workers) as pool:
-        results = pool.map(_pool_task, args)
+    with multiprocessing.Pool(processes=min(workers, len(args))) as pool:
+        results = pool.starmap(_run_subtree, args)
     solutions, count, nodes, completed, budget_hit = [], 0, 0, True, False
     for sols, c, nd, comp, bud in results:
         solutions.extend(sols)
@@ -350,7 +344,7 @@ def gq_spread_instance(structure: IncidenceStructure) -> ExactCoverInstance:
     """Universe = points, options = lines (option id = line id)."""
     return ExactCoverInstance(
         n_elements=structure.n_points,
-        options=structure.line_masks(),
+        options=structure.line_masks,
         names=tuple(f"line-{j}" for j in range(structure.n_lines)))
 
 
@@ -358,7 +352,7 @@ def gq_ovoid_instance(structure: IncidenceStructure) -> ExactCoverInstance:
     """Universe = lines, options = points (option id = point id)."""
     return ExactCoverInstance(
         n_elements=structure.n_lines,
-        options=structure.point_masks(),
+        options=structure.point_masks,
         names=tuple(f"point-{i}" for i in range(structure.n_points)))
 
 
@@ -373,22 +367,14 @@ def enumerate_gq_spreads(structure: IncidenceStructure, mode: str = "all",
                          **kwargs) -> SearchCertificate:
     """All line sets covering every point exactly once."""
     _warn_if_not_gq(structure)
-    cert = solve_exact_cover(gq_spread_instance(structure), mode, **kwargs)
-    for sol in cert.solutions:
-        if not is_gq_spread(structure, sol):
-            raise RuntimeError("internal: solution fails the spread predicate")
-    return cert
+    return solve_exact_cover(gq_spread_instance(structure), mode, **kwargs)
 
 
 def enumerate_gq_ovoids(structure: IncidenceStructure, mode: str = "all",
                         **kwargs) -> SearchCertificate:
     """All point sets meeting every line exactly once."""
     _warn_if_not_gq(structure)
-    cert = solve_exact_cover(gq_ovoid_instance(structure), mode, **kwargs)
-    for sol in cert.solutions:
-        if not is_gq_ovoid(structure, sol):
-            raise RuntimeError("internal: solution fails the ovoid predicate")
-    return cert
+    return solve_exact_cover(gq_ovoid_instance(structure), mode, **kwargs)
 
 
 def partition_into_spreads(structure: IncidenceStructure, mode: str = "all",
@@ -486,13 +472,7 @@ def enumerate_pg_line_spreads(v: int, spec: FieldSpec, mode: str = "all",
             raise BudgetExceededError(
                 f"line-spread search of PG({v - 1},{spec.q}) is out of the "
                 "desk-scale budget")
-    cert = solve_exact_cover(pg_line_spread_instance(v, spec), mode, **kwargs)
-    lines = enumerate_subspaces(v, 2, spec)
-    for sol in cert.solutions:
-        blocks = block_set([lines[j] for j in sol], v=v, q=spec.q, k=2)
-        if spread_holes(blocks):
-            raise RuntimeError("internal: solution is not a spread")
-    return cert
+    return solve_exact_cover(pg_line_spread_instance(v, spec), mode, **kwargs)
 
 
 def pg_spread_blocks(v: int, spec: FieldSpec, solution) -> BlockSet:

@@ -369,7 +369,9 @@ def test_search_exit_codes(q4_2_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value", [("--limit", "-5"), ("--limit", "-1e3"),
                                         ("--limit", "1.5"), ("--limit", "nan"),
-                                        ("--max-solutions", "0"), ("--max-solutions", "-2")])
+                                        ("--max-solutions", "0"), ("--max-solutions", "-2"),
+                                        ("--workers", "0"), ("--workers", "-3"),
+                                        ("--workers", "2.5")])
 def test_search_budget_flags_reject_bad_values(flag, value, q4_2_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "ovoids", q4_2_file, flag, value])
@@ -412,6 +414,21 @@ def test_workers_env_fallback(q4_2_file, tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "search", "ovoids", q4_2_file, "--out", str(cert))
     assert code == EXIT_OK
     assert json.loads(cert.read_text())["solution_count"] == 6
+
+
+def test_workers_env_value_is_parsed_like_the_flag(q4_2_file, capsys, monkeypatch):
+    argv = ["search", "ovoids", q4_2_file]
+    monkeypatch.delenv("QGEOM_WORKERS", raising=False)
+    assert build_parser().parse_args(argv).workers == 1
+    monkeypatch.setenv("QGEOM_WORKERS", "3")
+    assert build_parser().parse_args(argv).workers == 3
+    assert build_parser().parse_args(argv + ["--workers", "2"]).workers == 2
+    for value in ("0", "-3", "two"):
+        monkeypatch.setenv("QGEOM_WORKERS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --workers" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""The self-asserting demos under demos/ run to completion."""
+"""The self-asserting demos under demos/ run to completion, and the
+library functions the benchmark traces by name exist."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,3 +21,18 @@ def test_every_demo_exits_cleanly(tmp_path):
         proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                               cwd=tmp_path, env=env, timeout=120)
         assert proc.returncode == 0, f"{demo.name} exited {proc.returncode}:\n{proc.stderr}"
+
+
+def test_every_bench_trace_target_resolves(monkeypatch):
+    # bench/child.py wraps its TARGETS by (module, attribute) name, so a
+    # renamed or deleted function would break only a traced bench run
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    for name in ("tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    spec = importlib.util.spec_from_file_location("bench_child", REPO / "bench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)  # not as __main__, so no workload runs
+    assert len(child.TARGETS) > 20
+    missing = [f"{module}.{attr}" for module, attr, *_ in child.TARGETS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []

@@ -230,7 +230,7 @@ def _meets_once_reference(incidence, ids):
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_meets_once_mask_test_agrees_with_the_row_count(q):
     for s in (build_q4(q), build_w(q)):
-        assert s.line_masks() is s.line_masks() and s.point_masks() is s.point_masks()
+        assert s.line_masks is s.line_masks and s.point_masks is s.point_masks
         ovoids = solve_exact_cover(gq_ovoid_instance(s), "all").solutions
         spreads = solve_exact_cover(gq_spread_instance(s), "all").solutions
         # for odd q, Q(4,q) has no spreads and W(q) has no ovoids

@@ -400,6 +400,11 @@ def test_validating_constructor_accepts_every_constructed_subspace(v, q):
     built += [point_to_subspace(P, v, q) for P in all_points(v, spec)]
     for k in range(v + 1):
         built += enumerate_subspaces(v, k, spec)
+    if v == 4:  # dualize and meet wrap _kernel's RREF output unvalidated
+        built += [dualize(L, dot_form(v, q)) for L in enumerate_subspaces(v, 2, spec)]
+        if q <= 3:
+            planes = enumerate_subspaces(v, 3, spec)
+            built += [meet(A, B) for A, B in itertools.product(planes, repeat=2)]
     for U in built:
         twin = _revalidated(U)
         assert twin == U and hash(twin) == hash(U) and repr(twin) == repr(U)

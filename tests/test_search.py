@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgeom.designs import is_geometric_spread
+from qgeom import search
+from qgeom.designs import is_geometric_spread, spread_holes
 from qgeom.errors import BudgetExceededError
 from qgeom.gf import field_new
 from qgeom.gq import build_q4, build_w, incidence_from_lines, is_gq_ovoid, is_gq_spread
@@ -368,6 +369,14 @@ def test_pg32_spread_count_against_naive_backtracker():
     assert cert.completed
 
 
+@pytest.mark.parametrize("spec,count", [(F2, 56), (F3, 8424)])
+def test_every_pg3q_spread_has_no_holes(spec, count):
+    cert = enumerate_pg_line_spreads(4, spec)
+    assert cert.solution_count == count
+    for sol in cert.solutions:
+        assert spread_holes(pg_spread_blocks(4, spec, sol)) == frozenset()
+
+
 def test_pg52_sampling_yields_nongeometric_spread():
     cert = enumerate_pg_line_spreads(6, F2, "first", max_solutions=10,
                                      seed=7, node_limit=10 ** 7)
@@ -409,6 +418,29 @@ def test_two_workers_match_sequential_on_q4_3_ovoids():
     assert cert == base and _pin(cert) == "280/36/16aa3ddd657c1334"
 
 
+def test_pool_is_no_larger_than_the_root_branching(monkeypatch):
+    sizes = []
+
+    class Pool:  # records its size and runs the tasks in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, args):
+            return [fn(*a) for a in args]
+
+    monkeypatch.setattr(search.multiprocessing, "Pool", Pool)
+    instance = gq_ovoid_instance(build_q4(3))  # each line has q + 1 = 4 points
+    cert = solve_exact_cover(instance, "all", seed=0, workers=64)
+    assert sizes == [4]
+    assert cert == solve_exact_cover(instance, "all", seed=0)
+
+
 def test_worker_counts_agree_on_partitions():
     w2 = build_w(2)
     base = partition_into_spreads(w2)
@@ -428,12 +460,23 @@ def test_certificate_json_round_trip():
     assert again == cert
 
 
+@pytest.mark.parametrize("emitted", [(0, 0), (0,)])  # an overlap, a gap
+def test_an_emitted_non_cover_is_refused(emitted, monkeypatch):
+    def emit(run):
+        run.count += 1
+        run.solutions.append(emitted)
+
+    monkeypatch.setattr(_Run, "emit", emit)
+    with pytest.raises(RuntimeError, match="^internal: emitted solution is not an exact cover$"):
+        enumerate_gq_ovoids(build_q4(2))
+
+
 def test_every_reported_solution_reverifies():
-    # the enumerate wrappers re-check each solution against the
-    # definition predicate; spot-check the raw covers too
+    # solve_exact_cover checks each solution as an exact cover;
+    # spot-check the raw covers too
     w2 = build_w(2)
     cert = enumerate_gq_spreads(w2)
-    masks = w2.line_masks()
+    masks = w2.line_masks
     for sol in cert.solutions:
         acc = 0
         for j in sol:
