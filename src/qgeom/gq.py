@@ -24,7 +24,7 @@ from .errors import (
     PayloadError,
     UnknownIdError,
 )
-from .gf import dot, field_new, ops_for_order
+from .gf import field_new, ops_for_order
 from .projspace import (
     Subspace,
     _kernel,
@@ -37,8 +37,8 @@ from .projspace import (
     point_mask,
     point_to_subspace,
     require_ambient,
+    rref,
     subspace_from_json,
-    subspace_from_rows,
     subspace_to_json,
     symplectic_form,
 )
@@ -88,6 +88,24 @@ class IncidenceStructure:
     def point_masks(self) -> tuple[int, ...]:
         """Bit-packed line pencil of each point, computed once per structure."""
         return tuple(mask_of(ls) for ls in self.point_lines)
+
+    @cached_property
+    def label_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cols, owner): every basis row of the point labels, then of the
+        line labels, computed once per structure.
+
+        ``cols[c]`` holds coordinate c of every row and ``owner`` the label
+        of each row, with line j numbered n_points + j.  Raises
+        AmbientMismatchError unless all labels live in one F_q^v.
+        """
+        labels = self.point_labels + self.line_labels
+        v, q = labels[0].v, labels[0].q
+        require_ambient(v, q, labels)
+        rows = [row for lab in labels for row in lab.basis]
+        cols = np.array(rows, dtype=np.intp).reshape(len(rows), v).T.copy()
+        owner = np.repeat(np.arange(len(labels), dtype=np.intp),
+                          [len(lab.basis) for lab in labels])
+        return cols, owner
 
 
 def incidence_from_lines(n_points: int, lines,
@@ -368,6 +386,12 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     True iff the ovoid equals the quadric points inside some hyperplane
     of PG(4,q) containing no line of the quadric.  Needs the coordinate
     labels from build_q4.
+
+    The ovoid's rows are eliminated only until rank 4; one vectorized
+    dot of the other rows with the normals of that span settles rank 4.
+    Then one pass over ``q4.label_rows`` finds the labels inside the
+    hyperplane.  The labels of the whole structure are checked for one
+    ambient space when that array is built, once per structure.
     """
     if q4.point_labels is None or q4.line_labels is None:
         raise MissingLabelsError("structure carries no coordinate labels")
@@ -377,20 +401,55 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     labels = [q4.point_labels[i] for i in ids]
     v, q = labels[0].v, labels[0].q
     require_ambient(v, q, labels)
-    span = subspace_from_rows([lab.basis[0] for lab in labels], v, q)
-    if span.k != 4:
+    normals = _hyperplane_normals([lab.basis[0] for lab in labels], v, q)
+    if normals is None:
         return False
-    require_ambient(v, q, q4.point_labels + q4.line_labels)
+    cols, owner = q4.label_rows
+    off = np.bincount(owner[_off_normals(cols, normals, q)],
+                      minlength=q4.n_points + q4.n_lines)
+    # the labels inside are exactly the ovoid's points: line labels are
+    # numbered from n_points on, so equality also says no line is inside
+    return np.array_equal(np.flatnonzero(off == 0), ids)
+
+
+def _hyperplane_normals(rows, v: int, q: int):
+    """Normals of the span of rows when it has dimension exactly 4, else None.
+
+    Row-reduces a growing prefix of rows only until rank 4, then checks
+    the remaining rows against the normals in one vectorized dot.
+    """
+    basis, end = rref(rows[:4], q), 4
+    while len(basis) < 4 and end < len(rows):  # the rank grows by at most 1 a row
+        basis, end = rref(basis + (rows[end],), q), end + 1
+    if len(basis) < 4:
+        return None
+    normals = _kernel(basis, v, q)
+    rest = np.array(rows[end:], dtype=np.intp).reshape(-1, v).T
+    return None if _off_normals(rest, normals, q).any() else normals
+
+
+def _off_normals(cols, normals, q: int) -> np.ndarray:
+    """Per row of the column array cols: whether the row has a nonzero dot
+    with some normal, i.e. lies outside the subspace they annihilate."""
+    add, mul = _field_arrays(q)
+    off = np.zeros(cols.shape[1], dtype=bool)
+    for n in normals:
+        acc = np.zeros(cols.shape[1], dtype=np.intp)
+        for col, x in zip(cols, n):
+            if x:
+                acc = add[acc, mul[x][col]]
+        off |= acc != 0
+    return off
+
+
+@lru_cache(maxsize=None)
+def _field_arrays(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only numpy copies of the add and mul tables of F_q."""
     ops = ops_for_order(q)
-    normals = _kernel(span.basis, v, q)
-
-    def inside(lab):
-        return not any(dot(row, n, ops) for row in lab.basis for n in normals)
-
-    section = [i for i, lab in enumerate(q4.point_labels) if inside(lab)]
-    if section != ids:
-        return False
-    return not any(inside(lab) for lab in q4.line_labels)
+    tables = np.array(ops._add, dtype=np.intp), np.array(ops._mul, dtype=np.intp)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 # ----------------------------------------------------------------------

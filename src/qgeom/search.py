@@ -36,10 +36,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import BlockSet, block_set
-from .errors import BudgetExceededError, UnknownIdError
+from .errors import BudgetExceededError, PayloadError, UnknownIdError
 from .gf import FieldSpec
 from .gq import IncidenceStructure, check_gq
-from .projspace import bit_ids, enumerate_subspaces, mask_of, point_mask, q_number
+from .projspace import (
+    bit_ids,
+    enumerate_subspaces,
+    json_object,
+    mask_of,
+    point_mask,
+    q_number,
+)
 
 MODES = ("first", "all", "count")
 
@@ -181,6 +188,8 @@ class _Run:
     def select(self, active, sizes, p):
         """Child state after option p joins the partial cover."""
         gone = active & self.conflict[p]
+        if gone == active:  # no option left: uncovered columns drop to 0
+            return 0, (sizes + self.tag[p]) & self.done
         sizes += self.tag[p]
         vec = self.vec
         rest = gone
@@ -264,6 +273,8 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, not {workers!r}")
     if mode == "first" and max_solutions is None:
         max_solutions = 1
     if option_order is not None and seed is not None:
@@ -500,12 +511,37 @@ def certificate_to_json(cert: SearchCertificate) -> dict:
 
 
 def certificate_from_json(obj: dict) -> SearchCertificate:
+    obj = json_object(obj, "certificate", "digest", "mode", "solutions", "nodes",
+                      "option_order", "completed", "solution_count")
+    digest, solutions = obj["digest"], obj["solutions"]
+    if not (isinstance(digest, str) and len(digest) == 64
+            and set(digest) <= set("0123456789abcdef")):
+        raise PayloadError("certificate digest must be 64 lowercase hex digits")
+    modes = MODES + ("nonexistence",)
+    if obj["mode"] not in modes:
+        raise PayloadError(f"certificate mode must be one of {modes}")
+    if not isinstance(solutions, list) or not all(map(_is_id_list, solutions)):
+        raise PayloadError("certificate solutions must be lists of option ids >= 0")
+    if not _is_id_list(obj["option_order"]):
+        raise PayloadError("certificate option_order must be a list of option ids >= 0")
+    for key in ("nodes", "solution_count"):
+        if type(obj[key]) is not int or obj[key] < 0:
+            raise PayloadError(f"certificate {key} must be an integer >= 0")
+    if type(obj["completed"]) is not bool:
+        raise PayloadError("certificate completed must be true or false")
+    seed = obj.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise PayloadError("certificate seed must be an integer or null")
     return SearchCertificate(
-        digest=obj["digest"], mode=obj["mode"],
-        solutions=tuple(tuple(s) for s in obj["solutions"]),
+        digest=digest, mode=obj["mode"],
+        solutions=tuple(tuple(s) for s in solutions),
         nodes_visited=obj["nodes"],
         option_order=tuple(obj["option_order"]),
         completed=obj["completed"],
         solution_count=obj["solution_count"],
-        seed=obj.get("seed"),
+        seed=seed,
     )
+
+
+def _is_id_list(ids) -> bool:
+    return isinstance(ids, list) and all(type(i) is int and i >= 0 for i in ids)

@@ -2,9 +2,12 @@
 checking on hand-verifiable toys, duality, and isomorphism search."""
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from qgeom.errors import (
     AmbientMismatchError,
@@ -13,7 +16,7 @@ from qgeom.errors import (
     OutOfRangeError,
     UnknownIdError,
 )
-from qgeom.gf import field_new
+from qgeom.gf import dot, field_new, ops_for_order
 from qgeom.gq import (
     GQOrder,
     build_q4,
@@ -29,10 +32,14 @@ from qgeom.gq import (
     structure_to_json,
 )
 from qgeom.projspace import (
+    _kernel,
     contains,
     enumerate_subspaces,
     form_value,
     join,
+    require_ambient,
+    rref,
+    subspace_from_rows,
     subspace_points,
     symplectic_form,
 )
@@ -275,10 +282,68 @@ def test_elliptic_section_oracle_q2():
         assert is_elliptic_quadric_ovoid(q4, sec)
 
 
+def _elliptic_reference(q4, pointset):
+    """The per-label test that the vectorized section pass replaced: the
+    span of all ovoid rows, then a Python dot per label row and normal."""
+    if q4.point_labels is None or q4.line_labels is None:
+        raise MissingLabelsError("structure carries no coordinate labels")
+    ids = sorted(set(pointset))
+    if not is_gq_ovoid(q4, ids):
+        raise ValueError("point set is not an ovoid of the structure")
+    labels = [q4.point_labels[i] for i in ids]
+    v, q = labels[0].v, labels[0].q
+    require_ambient(v, q, labels)
+    span = subspace_from_rows([lab.basis[0] for lab in labels], v, q)
+    if span.k != 4:
+        return False
+    require_ambient(v, q, q4.point_labels + q4.line_labels)
+    ops = ops_for_order(q)
+    normals = _kernel(span.basis, v, q)
+
+    def inside(lab):
+        return not any(dot(row, n, ops) for row in lab.basis for n in normals)
+
+    section = [i for i, lab in enumerate(q4.point_labels) if inside(lab)]
+    if section != ids:
+        return False
+    return not any(inside(lab) for lab in q4.line_labels)
+
+
+def _outcome(test, q4, pointset):
+    """The verdict, or the type of the error raised."""
+    try:
+        return test(q4, pointset)
+    except ValueError as exc:  # every qgeom error here is a ValueError
+        return type(exc)
+
+
+def _elliptic_outcome(q4, pointset):
+    """The verdict (or error type) of the test, after checking that the
+    reference gives the same one."""
+    got = _outcome(is_elliptic_quadric_ovoid, q4, pointset)
+    assert got == _outcome(_elliptic_reference, q4, pointset)
+    return got
+
+
+@lru_cache(maxsize=None)
+def _q4_ovoids(q):
+    q4 = build_q4(q)
+    return q4, solve_exact_cover(gq_ovoid_instance(q4), "all").solutions
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_every_ovoid_is_elliptic_as_in_the_reference(q):
+    q4, ovoids = _q4_ovoids(q)
+    assert len(ovoids) == q * q * (q * q - 1) // 2
+    assert all(_elliptic_outcome(q4, ovoid) is True for ovoid in ovoids)
+    assert q4.label_rows is q4.label_rows  # built once per structure
+
+
 def test_elliptic_check_needs_labels():
     grid = grid3x3()
     with pytest.raises(MissingLabelsError):
         is_elliptic_quadric_ovoid(grid, {0, 4, 8})
+    assert _elliptic_outcome(grid, {0, 4, 8}) is MissingLabelsError
 
 
 def test_elliptic_check_rejects_mixed_ambient_labels():
@@ -289,11 +354,17 @@ def test_elliptic_check_rejects_mixed_ambient_labels():
     bad_lines = replace(q4, line_labels=q4.line_labels[:-1] + (foreign_line,))
     with pytest.raises(AmbientMismatchError):
         is_elliptic_quadric_ovoid(bad_lines, ovoid)
+    assert _elliptic_outcome(bad_lines, ovoid) is AmbientMismatchError
     # a point label off the ovoid, from PG(4,3)
     foreign_point = enumerate_subspaces(5, 1, field_new(3))[0]
     bad_points = replace(q4, point_labels=q4.point_labels[:-1] + (foreign_point,))
     with pytest.raises(AmbientMismatchError):
         is_elliptic_quadric_ovoid(bad_points, ovoid)
+    assert _elliptic_outcome(bad_points, ovoid) is AmbientMismatchError
+    # a rank-5 ovoid is refused before the other labels are looked at
+    swapped = list(bad_points.point_labels)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert _elliptic_outcome(replace(bad_points, point_labels=tuple(swapped)), ovoid) is False
 
 
 def test_elliptic_check_false_verdicts():
@@ -304,14 +375,14 @@ def test_elliptic_check_false_verdicts():
     # an ovoid point relabelled off the section: the labels span PG(4,2)
     swapped = list(labels)
     swapped[ovoid[0]], swapped[outside] = labels[outside], labels[ovoid[0]]
-    assert not is_elliptic_quadric_ovoid(replace(q4, point_labels=tuple(swapped)), ovoid)
+    assert _elliptic_outcome(replace(q4, point_labels=tuple(swapped)), ovoid) is False
     # a second point carrying an ovoid label: the section is too big
     doubled = labels[:outside] + (labels[ovoid[0]],) + labels[outside + 1:]
-    assert not is_elliptic_quadric_ovoid(replace(q4, point_labels=doubled), ovoid)
+    assert _elliptic_outcome(replace(q4, point_labels=doubled), ovoid) is False
     # a line label inside the span of the ovoid
     chord = join(labels[ovoid[0]], labels[ovoid[1]])
     lines = (chord,) + q4.line_labels[1:]
-    assert not is_elliptic_quadric_ovoid(replace(q4, line_labels=lines), ovoid)
+    assert _elliptic_outcome(replace(q4, line_labels=lines), ovoid) is False
 
 
 def test_elliptic_check_rejects_mixed_ambient_ovoid_labels():
@@ -321,12 +392,42 @@ def test_elliptic_check_rejects_mixed_ambient_ovoid_labels():
     labels = q4.point_labels[:9] + (foreign_point,) + q4.point_labels[10:]
     with pytest.raises(AmbientMismatchError):
         is_elliptic_quadric_ovoid(replace(q4, point_labels=labels), ovoid)
+    assert _elliptic_outcome(replace(q4, point_labels=labels), ovoid) is AmbientMismatchError
 
 
 def test_elliptic_check_rejects_non_ovoid():
     q4 = build_q4(2)
     with pytest.raises(ValueError):
         is_elliptic_quadric_ovoid(q4, {0, 1, 2, 3, 4})
+    assert _elliptic_outcome(q4, {0, 1, 2, 3, 4}) is ValueError
+
+
+@st.composite
+def _relabelled_ovoids(draw):
+    """An ovoid a of Q(4,2) or Q(4,3) under permuted point labels, and
+    whether the labels on a are those of some ovoid.  Half of the draws
+    move the labels of some ovoid b onto the points of a."""
+    q4, ovoids = _q4_ovoids(draw(st.sampled_from((2, 3))))
+    a, b = draw(st.sampled_from(ovoids)), draw(st.sampled_from(ovoids))
+    perm = draw(st.permutations(range(q4.n_points)))
+    if draw(st.booleans()):
+        on_b = iter([x for x in perm if x in b])
+        off_b = iter([x for x in perm if x not in b])
+        perm = [next(on_b) if i in a else next(off_b) for i in range(q4.n_points)]
+    labels = tuple(q4.point_labels[x] for x in perm)
+    on_ovoid = sorted(perm[i] for i in a) in [list(o) for o in ovoids]
+    return replace(q4, point_labels=labels), a, on_ovoid
+
+
+@settings(max_examples=250, deadline=None)
+@given(_relabelled_ovoids())
+def test_elliptic_test_matches_the_reference_under_relabelling(case):
+    # for q <= 3 every ovoid of Q(4,q) is an elliptic section
+    q4, ovoid, on_ovoid = case
+    assert _elliptic_outcome(q4, ovoid) is on_ovoid
+    rank = len(rref([q4.point_labels[i].basis[0] for i in ovoid], q4.point_labels[0].q))
+    event(f"rank {rank}, labels of an ovoid: {on_ovoid}")
+    assert rank == 4 or not on_ovoid  # any other rank takes the early exit
 
 
 # ----------------------------------------------------------------------

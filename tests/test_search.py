@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from qgeom import search
 from qgeom.designs import is_geometric_spread, spread_holes
-from qgeom.errors import BudgetExceededError
+from qgeom.errors import BudgetExceededError, PayloadError
 from qgeom.gf import field_new
 from qgeom.gq import build_q4, build_w, incidence_from_lines, is_gq_ovoid, is_gq_spread
 from qgeom.projspace import bit_ids, enumerate_subspaces, point_mask, q_number, subspace_points
@@ -225,6 +225,30 @@ def test_solver_matches_set_based_algorithm_x(run):
     assert budget_hit == (node_limit is not None and nodes > node_limit)
 
 
+def _select_by_subtraction(run, active, sizes, p):
+    """_Run.select without its shortcut for a child with no option left."""
+    gone = active & run.conflict[p]
+    sizes += run.tag[p]
+    for x in bit_ids(gone):
+        sizes -= run.vec[x]
+    return active ^ gone, sizes
+
+
+@pytest.mark.parametrize("q", [2, 4])
+def test_dead_end_shortcut_matches_the_subtraction(q):
+    # for even q any two ovoids of Q(4,q) meet, so every root child of the
+    # partition search has no active option left
+    q4 = build_q4(q)
+    ovoids = solve_exact_cover(gq_ovoid_instance(q4), "all").solutions
+    instance = exact_cover_instance(q4.n_points, ovoids)
+    run = _Run(instance, tuple(range(len(ovoids))), True, None, None)
+    for p in range(len(ovoids)):
+        assert run.active & run.conflict[p] == run.active
+        child = run.select(run.active, run.sizes, p)
+        assert child[0] == 0
+        assert child == _select_by_subtraction(run, run.active, run.sizes, p)
+
+
 def test_wide_columns_use_sixteen_bit_sizes():
     # every nonempty subset of 8 elements: element 0 lies in 128 options,
     # one past what an 8-bit size field with its covered tag can hold
@@ -411,6 +435,12 @@ def test_worker_counts_do_not_change_results():
         assert cert.digest == base.digest
 
 
+@pytest.mark.parametrize("workers", [0, -3, 1.0, "2", None])
+def test_bad_worker_counts_are_refused(workers):
+    with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+        solve_exact_cover(gq_ovoid_instance(build_q4(2)), "all", workers=workers)
+
+
 def test_two_workers_match_sequential_on_q4_3_ovoids():
     instance = gq_ovoid_instance(build_q4(3))
     base = solve_exact_cover(instance, "all", seed=0)
@@ -458,6 +488,39 @@ def test_certificate_json_round_trip():
     cert = enumerate_gq_spreads(build_w(2))
     again = certificate_from_json(certificate_to_json(cert))
     assert again == cert
+
+
+@pytest.mark.parametrize("key,value", [
+    ("digest", 5), ("digest", "ab" * 31), ("digest", "G" * 64),
+    ("mode", "bogus"), ("mode", None),
+    ("solutions", [[-1, "x"]]), ("solutions", [[0, 1.0]]), ("solutions", "01"),
+    ("nodes", -2), ("nodes", True),
+    ("option_order", "ab"), ("option_order", [0, -1]),
+    ("completed", "yes"), ("completed", 1),
+    ("solution_count", 1.5), ("solution_count", -1),
+    ("seed", "0"), ("seed", 0.5),
+])
+def test_certificate_fields_are_checked_where_they_enter(key, value):
+    obj = certificate_to_json(enumerate_gq_spreads(build_w(2)))
+    obj[key] = value
+    with pytest.raises(PayloadError, match=f"^certificate {key} "):
+        certificate_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [[], "cert", None])
+def test_a_certificate_must_be_an_object(obj):
+    with pytest.raises(PayloadError, match="^certificate must be a JSON object"):
+        certificate_from_json(obj)
+
+
+def test_a_certificate_missing_a_key_names_it():
+    obj = certificate_to_json(enumerate_gq_spreads(build_w(2)))
+    del obj["completed"]
+    with pytest.raises(PayloadError, match="^certificate payload has no key 'completed'$"):
+        certificate_from_json(obj)
+    del obj["seed"]
+    obj["completed"] = True
+    assert certificate_from_json(obj).seed is None
 
 
 @pytest.mark.parametrize("emitted", [(0, 0), (0,)])  # an overlap, a gap
