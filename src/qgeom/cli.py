@@ -57,6 +57,7 @@ class _Io:
         self.argv = list(argv)
         self._hash = hashlib.sha256()
         self._read_anything = False
+        self._t0 = time.monotonic()
 
     def read_json(self, path):
         if path == "-":
@@ -71,21 +72,21 @@ class _Io:
     def inputs_digest(self):
         return self._hash.hexdigest() if self._read_anything else None
 
-    def emit(self, payload, summary, *, payload_is_output: bool, t0: float) -> None:
+    def emit(self, payload, summary, *, payload_is_output: bool) -> None:
         """payload_is_output: generator commands stream the payload to
         stdout/--out; verdict commands print the summary and only show
         the payload in a file or inside --json."""
-        out = getattr(self.args, "out", None)
+        out = self.args.out
         if out and out != "-":
             with open(out, "w") as fh:
                 fh.write(_canonical(payload))
-        if getattr(self.args, "json", False):
+        if self.args.json:
             report = {
                 "schema_version": SCHEMA_VERSION,
                 "command": self.argv,
                 "inputs_digest": self.inputs_digest(),
                 "outputs": payload,
-                "wall_time_s": round(time.monotonic() - t0, 6),
+                "wall_time_s": round(time.monotonic() - self._t0, 6),
                 "version": __version__,
             }
             sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
@@ -99,13 +100,8 @@ class _Io:
 
 
 def _search_kwargs(args):
-    kw = {"workers": args.workers}
-    if getattr(args, "limit", None) is not None:
-        kw["node_limit"] = args.limit
-    if getattr(args, "max_solutions", None) is not None:
-        kw["max_solutions"] = args.max_solutions
-    kw["seed"] = args.seed if getattr(args, "seed", None) is not None else 0
-    return kw
+    return {"workers": args.workers, "node_limit": args.limit,
+            "max_solutions": args.max_solutions, "seed": args.seed}
 
 
 def _int_at_least(low: int):
@@ -139,7 +135,7 @@ def cmd_field(io, args):
     mono = "".join(str(c) for c in reversed(spec.modulus))
     io.emit(payload,
             f"F_{spec.q} = F_{spec.p}^{spec.e}, modulus coefficients (desc) {mono}",
-            payload_is_output=True, t0=args._t0)
+            payload_is_output=True)
     return EXIT_OK
 
 
@@ -185,8 +181,7 @@ def cmd_lambda(io, args):
         "lambda_s": [[x.numerator, x.denominator] for x in rep.lambdas],
         "admissible": rep.ok,
     }
-    io.emit(payload, render_lambda_triangle(params),
-            payload_is_output=False, t0=args._t0)
+    io.emit(payload, render_lambda_triangle(params), payload_is_output=False)
     return EXIT_OK
 
 
@@ -199,7 +194,7 @@ def cmd_gq_build(io, args):
     s = build(args.q)
     io.emit(gq.structure_to_json(s),
             f"{args.type}({args.q}): {s.n_points} points, {s.n_lines} lines",
-            payload_is_output=True, t0=args._t0)
+            payload_is_output=True)
     return EXIT_OK
 
 
@@ -221,7 +216,7 @@ def cmd_gq_check(io, args):
         summary = "axioms hold but line size / point degree is not constant"
     else:
         summary = f"not a GQ: {verdict.reason}"
-    io.emit(payload, summary, payload_is_output=False, t0=args._t0)
+    io.emit(payload, summary, payload_is_output=False)
     return EXIT_OK if verdict.axioms_ok else EXIT_ERROR
 
 
@@ -229,24 +224,22 @@ def cmd_gq_dual(io, args):
     s = gq.structure_from_json(io.read_json(args.file))
     d = gq.dualize_structure(s)
     io.emit(gq.structure_to_json(d),
-            f"dual: {d.n_points} points, {d.n_lines} lines",
-            payload_is_output=True, t0=args._t0)
+            f"dual: {d.n_points} points, {d.n_lines} lines", payload_is_output=True)
     return EXIT_OK
 
 
 def cmd_gq_iso(io, args):
     a = gq.structure_from_json(io.read_json(args.a))
     b = gq.structure_from_json(io.read_json(args.b))
-    result = gq.is_isomorphic(a, b, node_limit=args.limit or 10 ** 7)
+    result = gq.is_isomorphic(a, b, node_limit=args.limit)
     if result is None:
         io.emit({"schema_version": SCHEMA_VERSION, "isomorphic": False},
-                "not isomorphic", payload_is_output=False, t0=args._t0)
+                "not isomorphic", payload_is_output=False)
         return EXIT_ERROR
     pm, lm = result
     payload = {"schema_version": SCHEMA_VERSION, "isomorphic": True,
                "point_map": list(pm), "line_map": list(lm)}
-    io.emit(payload, f"isomorphic (point map {list(pm)})",
-            payload_is_output=False, t0=args._t0)
+    io.emit(payload, f"isomorphic (point map {list(pm)})", payload_is_output=False)
     return EXIT_OK
 
 
@@ -287,8 +280,7 @@ def _write_certificate(io, args, cert):
     if cert is None:
         print("budget exceeded before a certificate existed", file=sys.stderr)
         return
-    io.emit(search.certificate_to_json(cert), _describe(cert),
-            payload_is_output=True, t0=args._t0)
+    io.emit(search.certificate_to_json(cert), _describe(cert), payload_is_output=True)
 
 
 def cmd_search_pg(io, args):
@@ -326,7 +318,7 @@ def cmd_design_check(io, args):
     }
     summary = (f"pass: {params}" if rep.ok
                else f"fail: {params}, {len(rep.witnesses)} witness(es) shown")
-    io.emit(payload, summary, payload_is_output=False, t0=args._t0)
+    io.emit(payload, summary, payload_is_output=False)
     return EXIT_OK if rep.ok else EXIT_ERROR
 
 
@@ -335,8 +327,7 @@ def cmd_design_dual(io, args):
     form = projspace.dot_form(blocks.v, blocks.q)
     dual, _ = designs.dual_design(blocks, form)
     io.emit(designs.blockset_to_json(dual),
-            f"dualized {len(blocks)} blocks to dimension {dual.k}",
-            payload_is_output=True, t0=args._t0)
+            f"dualized {len(blocks)} blocks to dimension {dual.k}", payload_is_output=True)
     return EXIT_OK
 
 
@@ -349,7 +340,7 @@ def cmd_design_derive(io, args):
     der = designs.derived_design(blocks, points[args.point])
     io.emit(designs.blockset_to_json(der),
             f"derived design at point {args.point}: {len(der)} blocks",
-            payload_is_output=True, t0=args._t0)
+            payload_is_output=True)
     return EXIT_OK
 
 
@@ -358,8 +349,7 @@ def cmd_design_spread_gen(io, args):
     blocks = designs.desarguesian_spread(args.v, args.k, spec)
     io.emit(designs.blockset_to_json(blocks),
             f"Desarguesian ({args.k - 1})-spread of PG({args.v - 1},{args.q}): "
-            f"{len(blocks)} blocks",
-            payload_is_output=True, t0=args._t0)
+            f"{len(blocks)} blocks", payload_is_output=True)
     return EXIT_OK
 
 
@@ -378,7 +368,7 @@ def cmd_design_geometric(io, args):
         rows = [list(r) for r in rep.witness.basis]
         summary = (f"geometric: false, witness {2 * blocks.k}-subspace {rows} "
                    f"holds {rep.count} blocks")
-    io.emit(payload, summary, payload_is_output=False, t0=args._t0)
+    io.emit(payload, summary, payload_is_output=False)
     return EXIT_OK if rep.ok else EXIT_ERROR
 
 
@@ -391,8 +381,7 @@ def cmd_design_alpha(io, args):
     ok = designs.is_alpha_point(blocks, points[args.point])
     io.emit({"schema_version": SCHEMA_VERSION, "alpha_point": ok,
              "point": args.point},
-            f"alpha point: {'true' if ok else 'false'}",
-            payload_is_output=False, t0=args._t0)
+            f"alpha point: {'true' if ok else 'false'}", payload_is_output=False)
     return EXIT_OK if ok else EXIT_ERROR
 
 
@@ -412,7 +401,7 @@ def _add_search_flags(p):
     p.add_argument("--limit", type=_int_at_least(0), default=None,
                    help="node budget (accepts 1e7 style)")
     p.add_argument("--max-solutions", type=_int_at_least(1), default=None)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=int, default=0,
                    help="option-order shuffle seed (default 0)")
     p.add_argument("--workers", type=_int_at_least(1),
                    default=os.environ.get("QGEOM_WORKERS", "1"),
@@ -453,7 +442,8 @@ def build_parser() -> _Parser:
     p = gsub.add_parser("iso")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--limit", type=_int_at_least(0), default=None)
+    p.add_argument("--limit", type=_int_at_least(0), default=10 ** 7,
+                   help="candidate-try budget (default 1e7)")
     _add_common(p)
     p.set_defaults(fn=cmd_gq_iso)
 
@@ -513,7 +503,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._t0 = time.monotonic()
     io = _Io(args, ["qgeom"] + argv)
     try:
         return args.fn(io, args)

@@ -300,10 +300,10 @@ def is_alpha_point(blocks: BlockSet, P: PointId) -> bool:
     der = derived_design(blocks, P)
     if not der.blocks:
         raise DerivedNotASpreadError("no block passes through the point")
-    params = DesignParams(t=1, v=der.v, k=der.k, lam=1, q=der.q)
-    if not is_design(der, params).ok:
-        raise DerivedNotASpreadError("derived family is not a spread")
-    return is_geometric_spread(der).ok
+    try:
+        return is_geometric_spread(der).ok
+    except NotASpreadError:
+        raise DerivedNotASpreadError("derived family is not a spread") from None
 
 
 # ----------------------------------------------------------------------

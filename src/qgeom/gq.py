@@ -474,27 +474,36 @@ def structure_to_json(s: IncidenceStructure) -> dict:
 
 
 def structure_from_json(obj: dict) -> IncidenceStructure:
+    """Decode a structure payload; every count is checked before anything
+    is allocated for it.
+
+    Lines are distinct point sets, and at most one of them is empty, so
+    a structure with N incidences has at most N + 1 lines.
+    """
     obj = json_object(obj, "structure", "points", "lines", "incidence")
     n_points, n_lines, incidence = obj["points"], obj["lines"], obj["incidence"]
     if type(n_points) is not int or type(n_lines) is not int or not isinstance(incidence, list):
         raise PayloadError("structure needs integer points and lines and an incidence list")
-    per_line = [[] for _ in range(n_lines)]
+    if n_points != len(incidence):
+        raise PayloadError(f"structure has {n_points} points but {len(incidence)} incidence rows")
     for p, ls in enumerate(incidence):
         if not isinstance(ls, list):
             raise PayloadError(f"incidence of point {p} must be a list of line ids")
+    n_incidences = sum(map(len, incidence))
+    if not 0 <= n_lines <= n_incidences + 1:
+        raise PayloadError(f"{n_incidences} incidences cannot fill {n_lines} distinct lines")
+    per_line = [[] for _ in range(n_lines)]
+    for p, ls in enumerate(incidence):
         for j in ls:
             if type(j) is not int or not 0 <= j < n_lines:
                 raise UnknownIdError(f"point {p} lies on line id {j!r} outside the structure")
             per_line[j].append(p)
     labels = json_object(obj.get("labels") or {}, "labels")
-    point_labels = labels.get("points")
-    line_labels = labels.get("lines")
-    if not all(isinstance(x, (list, type(None))) for x in (point_labels, line_labels)):
-        raise PayloadError("labels must be lists of subspaces")
-    return incidence_from_lines(
-        n_points, per_line,
-        point_labels=[subspace_from_json(x) for x in point_labels]
-        if point_labels else None,
-        line_labels=[subspace_from_json(x) for x in line_labels]
-        if line_labels else None,
-    )
+    decoded = {}
+    for kind, count in (("points", n_points), ("lines", n_lines)):
+        given = labels.get(kind)
+        if given is not None and not (isinstance(given, list) and len(given) == count):
+            raise PayloadError(f"{kind[:-1]} labels must be a list of {count} subspaces")
+        decoded[kind] = None if given is None else [subspace_from_json(x) for x in given]
+    return incidence_from_lines(n_points, per_line, point_labels=decoded["points"],
+                                line_labels=decoded["lines"])

@@ -17,6 +17,10 @@ subspace does.  Hot verification loops test containment within one
 ambient space as a mask subset test, ``inner & ~outer == 0``, after
 ``require_ambient``; ``contains`` stays the row-reduction test for
 subspaces that are used once.
+
+All reduction goes through ``rref`` and one residual step: ``contains``
+tests that the residuals vanish, ``quotient`` reads coordinates off them,
+and ``meet``/``dualize`` hand ``_kernel`` a matrix that is already RREF.
 """
 
 from __future__ import annotations
@@ -97,7 +101,8 @@ def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _pivot_cols(basis) -> tuple[int, ...]:
-    return tuple(next(c for c, x in enumerate(row) if x) for row in basis)
+    """Pivot columns of an RREF basis: each row's leading entry is its first 1."""
+    return tuple(row.index(1) for row in basis)
 
 
 # ----------------------------------------------------------------------
@@ -212,21 +217,26 @@ def require_ambient(v: int, q: int, subspaces) -> None:
 def contains(outer: Subspace, inner: Subspace) -> bool:
     """Whether inner <= outer (same ambient required)."""
     require_ambient(outer.v, outer.q, (inner,))
-    if inner.k > outer.k:
-        return False
-    ops = ops_for_order(outer.q)
+    return inner.k <= outer.k and not any(
+        map(any, _residuals(inner.basis, outer.basis, outer.q)))
+
+
+def _residuals(rows, basis, q: int):
+    """Each row with its part in span(basis) removed, for an RREF basis.
+
+    A residual is 0 at the pivot columns of basis and equals its row minus
+    a combination of basis rows, so it is 0 iff the row lies in the span.
+    """
+    ops = ops_for_order(q)
     sub, mul = ops._sub, ops._mul
-    pivots = _pivot_cols(outer.basis)
-    for row in inner.basis:
-        vec = list(row)
-        for brow, p in zip(outer.basis, pivots):
-            f = vec[p]
+    steps = tuple(zip(basis, _pivot_cols(basis)))
+    for row in rows:
+        for brow, p in steps:
+            f = row[p]
             if f:
                 scale = mul[f]
-                vec = [sub[x][scale[y]] for x, y in zip(vec, brow)]
-        if any(vec):
-            return False
-    return True
+                row = [sub[x][scale[y]] for x, y in zip(row, brow)]
+        yield row
 
 
 def meet(U: Subspace, W: Subspace) -> Subspace:
@@ -234,7 +244,7 @@ def meet(U: Subspace, W: Subspace) -> Subspace:
     require_ambient(U.v, U.q, (W,))
     cu = _kernel(U.basis, U.v, U.q)
     cw = _kernel(W.basis, W.v, W.q)
-    basis = _kernel(cu + cw, U.v, U.q)
+    basis = _kernel(rref(cu + cw, U.q), U.v, U.q)
     return _canonical(U.v, len(basis), U.q, basis)
 
 
@@ -244,20 +254,22 @@ def join(U: Subspace, W: Subspace) -> Subspace:
     return subspace_from_rows(U.basis + W.basis, U.v, U.q)
 
 
-def _kernel(rows, v: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """RREF basis of {x : M x^T = 0} for the matrix with the given rows."""
-    ops = ops_for_order(q)
-    reduced = rref(rows, q)
-    pivots = _pivot_cols(reduced)
+def _kernel(basis, v: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """RREF basis of {x : M x^T = 0} for the matrix M with the given rows.
+
+    The rows must already be RREF; they are not reduced again.
+    """
+    neg = ops_for_order(q).neg
+    pivots = _pivot_cols(basis)
     free = [c for c in range(v) if c not in pivots]
-    basis = []
+    kernel = []
     for f in free:
         vec = [0] * v
         vec[f] = 1
-        for row, p in zip(reduced, pivots):
-            vec[p] = ops.neg(row[f])
-        basis.append(tuple(vec))
-    return rref(basis, q)
+        for row, p in zip(basis, pivots):
+            vec[p] = neg(row[f])
+        kernel.append(tuple(vec))
+    return rref(kernel, q)
 
 
 # ----------------------------------------------------------------------
@@ -424,7 +436,7 @@ def dualize(U: Subspace, form: BilinearForm) -> Subspace:
     constraints = []
     for u in U.basis:
         constraints.append(tuple(dot(grow, u, ops) for grow in form.gram))
-    basis = _kernel(constraints, v, q)
+    basis = _kernel(rref(constraints, q), v, q)
     return _canonical(v, len(basis), q, basis)
 
 
@@ -442,32 +454,16 @@ def quotient(B: Subspace, P: Subspace) -> Subspace:
 
     The frame completes P's basis with the unit vectors of its non-pivot
     columns in ascending order, so the frame (and every derived-design
-    output) depends only on P.
+    output) depends only on P.  A residual of a row of B against P is 0
+    at P's pivots, so its other entries are the row's coordinates on
+    those unit vectors.
     """
     if not contains(B, P):
         raise NotContainedError("quotient requires P <= B")
-    v, q = B.v, B.q
-    pivots = set(_pivot_cols(P.basis))
-    completion = [tuple(1 if j == c else 0 for j in range(v))
-                  for c in range(v) if c not in pivots]
-    frame = list(P.basis) + completion
-    inv = _matrix_inverse(frame, q)
-    ops = ops_for_order(q)
-    qrows = []
-    for x in B.basis:
-        coords = [dot(x, tuple(inv[r][j] for r in range(v)), ops)
-                  for j in range(v)]
-        qrows.append(coords[P.k:])
-    return subspace_from_rows(qrows, v - P.k, q)
-
-
-def _matrix_inverse(rows, q: int):
-    v = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(v)] for i, r in enumerate(rows)]
-    red = rref(aug, q)
-    if len(red) != v or any(red[i][i] != 1 for i in range(v)):
-        raise ValueError("matrix is singular")
-    return [list(r[v:]) for r in red]
+    pivots = _pivot_cols(P.basis)
+    keep = [c for c in range(B.v) if c not in pivots]
+    qrows = [[r[c] for c in keep] for r in _residuals(B.basis, P.basis, B.q)]
+    return subspace_from_rows(qrows, B.v - P.k, B.q)
 
 
 def restrict_filter(S, U: Subspace, W: Subspace) -> list[Subspace]:

@@ -415,12 +415,6 @@ def _partition_level(n_elements, first_level_solutions, label, mode, kwargs):
         n_elements=n_elements,
         options=tuple(mask_of(sol) for sol in first_level_solutions),
         names=tuple(f"{label}-{i}" for i in range(len(first_level_solutions))))
-    if not instance.options:
-        # no first-level solutions at all certifies nonexistence outright
-        return SearchCertificate(
-            digest=instance_digest(instance), mode="nonexistence",
-            solutions=(), nodes_visited=0, option_order=(),
-            completed=True, solution_count=0, seed=kwargs.get("seed"))
     return solve_exact_cover(instance, mode, **kwargs)
 
 

@@ -178,6 +178,18 @@ def test_gq_iso_negative(tmp_path, capsys):
     assert code == EXIT_ERROR and out.strip() == "not isomorphic"
 
 
+@pytest.mark.parametrize("limit,code", [("0", EXIT_BUDGET), ("1", EXIT_BUDGET),
+                                        ("1e7", EXIT_OK)])
+def test_gq_iso_limit_is_the_budget_even_at_zero(limit, code, tmp_path, capsys):
+    w2, dual, q42 = (tmp_path / name for name in ("w2.json", "dual.json", "q42.json"))
+    run(capsys, "gq", "build", "--type", "W", "--q", "2", "--out", str(w2))
+    run(capsys, "gq", "build", "--type", "Q4", "--q", "2", "--out", str(q42))
+    run(capsys, "gq", "dual", str(w2), "--out", str(dual))
+    got, _, err = run(capsys, "gq", "iso", str(dual), str(q42), "--limit", limit)
+    assert got == code
+    assert err.startswith("budget exceeded") == (code == EXIT_BUDGET)
+
+
 def test_gq_dual_pipes_through_stdin(tmp_path, capsys, monkeypatch):
     w2 = tmp_path / "w2.json"
     run(capsys, "gq", "build", "--type", "W", "--q", "2", "--out", str(w2))
@@ -270,6 +282,40 @@ def test_labels_of_the_wrong_shape_are_rejected(labels, tmp_path, capsys):
     f.write_text(json.dumps({"schema_version": 1, "points": 2, "lines": 1,
                              "incidence": [[0], [0]], "labels": labels}))
     _one_error_line(*run(capsys, "gq", "check", str(f)))
+
+
+def _short_point_labels(payload):
+    payload["labels"]["points"] = payload["labels"]["points"][:3]
+
+
+def _long_line_labels(payload):
+    payload["labels"]["lines"].append(payload["labels"]["lines"][0])
+
+
+def _one_point_too_many(payload):
+    payload["points"] += 1
+
+
+def _lines_no_incidences_can_fill(payload):
+    payload["lines"] = 2 * 10 ** 6
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (_short_point_labels, "point labels must be a list of 15 subspaces"),
+    (_long_line_labels, "line labels must be a list of 15 subspaces"),
+    (_one_point_too_many, "structure has 16 points but 15 incidence rows"),
+    (_lines_no_incidences_can_fill, "45 incidences cannot fill 2000000 distinct lines"),
+])
+@pytest.mark.parametrize("argv", [("gq", "check"), ("gq", "dual"), ("search", "ovoids")])
+def test_structure_counts_must_agree(argv, mutate, message, tmp_path, capsys):
+    f = tmp_path / "q4_2.json"
+    run(capsys, "gq", "build", "--type", "Q4", "--q", "2", "--out", str(f))
+    payload = json.loads(f.read_text())
+    mutate(payload)
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, *argv, str(f))
+    _one_error_line(code, out, err)
+    assert message in err
 
 
 @pytest.mark.parametrize("field,value", [("v", "4"), ("k", None), ("q", 2.0), ("blocks", "x")])

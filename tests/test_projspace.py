@@ -454,6 +454,44 @@ def _contains_reference(outer, inner):
     return True
 
 
+def _kernel_reference(rows, v, q):
+    """Null space of any matrix: reduce the rows, read off one kernel vector
+    per free column, reduce those."""
+    ops = arith(field_new(q))
+    reduced = _rref_reference(rows, q)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+    basis = []
+    for f in (c for c in range(v) if c not in pivots):
+        vec = [0] * v
+        vec[f] = 1
+        for row, p in zip(reduced, pivots):
+            vec[p] = ops.neg(row[f])
+        basis.append(tuple(vec))
+    return _rref_reference(basis, q)
+
+
+def _quotient_reference(B, P):
+    """B/P through the explicit frame: P's rows, then the unit vectors of
+    P's non-pivot columns; coordinates of B's rows by the frame's inverse."""
+    v, q = B.v, B.q
+    ops = arith(field_new(q))
+    pivots = [next(c for c, x in enumerate(row) if x) for row in P.basis]
+    frame = list(P.basis) + [tuple(int(j == c) for j in range(v))
+                             for c in range(v) if c not in pivots]
+    aug = [list(r) + [int(i == j) for j in range(v)] for i, r in enumerate(frame)]
+    inv = [r[v:] for r in _rref_reference(aug, q)]
+    qrows = []
+    for x in B.basis:
+        coords = []
+        for j in range(v):
+            acc = 0
+            for r in range(v):
+                acc = ops.add(acc, ops.mul(x[r], inv[r][j]))
+            coords.append(acc)
+        qrows.append(coords[P.k:])
+    return _rref_reference(qrows, q)
+
+
 @st.composite
 def _row_sets(draw):
     q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
@@ -474,6 +512,13 @@ def test_row_operations_agree_with_the_method_call_reference(case):
     assert contains(X, U) == _contains_reference(X, U)
     assert contains(U, subspace_from_rows(rows[:2], v, q))
     assert contains(join(U, X), X) and contains(U, meet(U, X))
+    assert projspace._kernel(U.basis, v, q) == _kernel_reference(rows, v, q)
+    assert meet(U, X).basis == _kernel_reference(
+        _kernel_reference(rows, v, q) + _kernel_reference(others, v, q), v, q)
+    assert dualize(U, dot_form(v, q)).basis == _kernel_reference(U.basis, v, q)
+    M, J = meet(U, X), join(U, X)
+    for B, P in ((U, M), (J, X), (J, U), (U, U)):
+        assert quotient(B, P).basis == _quotient_reference(B, P)
     ops = ops_for_order(q)
     for c in itertools.islice(all_points(U.k, field_new(q)), 30):
         expected = [0] * v

@@ -25,6 +25,7 @@ from qgeom.gq import build_q4, build_w, incidence_from_lines, is_gq_ovoid, is_gq
 from qgeom.projspace import bit_ids, enumerate_subspaces, point_mask, q_number, subspace_points
 from qgeom.search import (
     ExactCoverInstance,
+    SearchCertificate,
     _Run,
     certificate_from_json,
     certificate_to_json,
@@ -151,6 +152,26 @@ def test_gq_search_trees_are_pinned(what, q, unseeded, seeded):
 def test_partition_trees_are_pinned(q, nodes):
     cert = partition_into_ovoids(build_q4(q), seed=0)
     assert cert.nonexistence_certified and cert.nodes_visited == nodes
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"seed": 0}, {"seed": 5, "workers": 2},
+                                    {"node_limit": 0}, {"max_solutions": 3}])
+@pytest.mark.parametrize("mode", ["all", "first", "count"])
+def test_no_options_certify_nonexistence_without_a_node(mode, kwargs):
+    instance = ExactCoverInstance(n_elements=40, options=())
+    assert solve_exact_cover(instance, mode, **kwargs) == SearchCertificate(
+        digest=instance_digest(instance), mode="nonexistence", solutions=(),
+        nodes_visited=0, option_order=(), completed=True, solution_count=0,
+        seed=kwargs.get("seed"))
+
+
+def test_w3_ovoid_partition_has_no_first_level_to_search():
+    w3 = build_w(3)  # W(q) has no ovoid for odd q
+    cert = partition_into_ovoids(w3, seed=0)
+    assert enumerate_gq_ovoids(w3).nonexistence_certified
+    assert cert.nonexistence_certified and cert.nodes_visited == 0
+    assert cert.option_order == () and cert.solutions == ()
+    assert cert.digest == instance_digest(ExactCoverInstance(w3.n_points, (), names=()))
 
 
 def test_pg_spread_trees_are_pinned():
