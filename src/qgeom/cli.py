@@ -29,14 +29,13 @@ from fractions import Fraction
 from . import __version__, designs, gq, projspace, search
 from .errors import BudgetExceededError, QGeomError
 from .gf import arith, field_new
+from .projspace import SCHEMA_VERSION
 
 EXIT_OK = 0
 EXIT_BUDGET = 2
 EXIT_ERROR = 1
 EXIT_NONEXISTENCE = 10
 EXIT_USAGE = 64
-
-SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,7 +74,9 @@ class _Io:
     def emit(self, payload, summary, *, payload_is_output: bool) -> None:
         """payload_is_output: generator commands stream the payload to
         stdout/--out; verdict commands print the summary and only show
-        the payload in a file or inside --json."""
+        the payload in a file or inside --json.  Every payload carries
+        SCHEMA_VERSION."""
+        payload = dict(payload, schema_version=SCHEMA_VERSION)
         out = self.args.out
         if out and out != "-":
             with open(out, "w") as fh:
@@ -125,7 +126,6 @@ def cmd_field(io, args):
     spec = field_new(args.q)
     ops = arith(spec)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "p": spec.p, "e": spec.e, "q": spec.q,
         "modulus": list(spec.modulus),
         "add": [[ops.add(a, b) for b in range(spec.q)] for a in range(spec.q)],
@@ -174,7 +174,6 @@ def cmd_lambda(io, args):
     rows = _triangle_rows(params)
     rep = designs.admissible(params)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "params": {"t": params.t, "v": params.v, "k": params.k,
                    "lambda": params.lam, "q": params.q},
         "triangle": [[[x.numerator, x.denominator] for x in row] for row in rows],
@@ -202,7 +201,6 @@ def cmd_gq_check(io, args):
     s = gq.structure_from_json(io.read_json(args.file))
     verdict = gq.check_gq(s)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "axioms_ok": verdict.axioms_ok,
         "order": [verdict.order.s, verdict.order.t] if verdict.order else None,
         "degenerate": verdict.degenerate,
@@ -233,12 +231,11 @@ def cmd_gq_iso(io, args):
     b = gq.structure_from_json(io.read_json(args.b))
     result = gq.is_isomorphic(a, b, node_limit=args.limit)
     if result is None:
-        io.emit({"schema_version": SCHEMA_VERSION, "isomorphic": False},
+        io.emit({"isomorphic": False},
                 "not isomorphic", payload_is_output=False)
         return EXIT_ERROR
     pm, lm = result
-    payload = {"schema_version": SCHEMA_VERSION, "isomorphic": True,
-               "point_map": list(pm), "line_map": list(lm)}
+    payload = {"isomorphic": True, "point_map": list(pm), "line_map": list(lm)}
     io.emit(payload, f"isomorphic (point map {list(pm)})", payload_is_output=False)
     return EXIT_OK
 
@@ -270,13 +267,13 @@ def cmd_search_gq(io, args):
     try:
         cert = fn(s, args.mode, **_search_kwargs(args))
     except BudgetExceededError as exc:
-        _write_certificate(io, args, exc.certificate)
+        _write_certificate(io, exc.certificate)
         return EXIT_BUDGET
-    _write_certificate(io, args, cert)
+    _write_certificate(io, cert)
     return _certificate_exit(cert)
 
 
-def _write_certificate(io, args, cert):
+def _write_certificate(io, cert):
     if cert is None:
         print("budget exceeded before a certificate existed", file=sys.stderr)
         return
@@ -289,13 +286,13 @@ def cmd_search_pg(io, args):
         cert = search.enumerate_pg_line_spreads(args.v, spec, args.mode,
                                                 **_search_kwargs(args))
     except BudgetExceededError as exc:
-        _write_certificate(io, args, exc.certificate)
+        _write_certificate(io, exc.certificate)
         return EXIT_BUDGET
     if args.spread_out and cert.solutions:
         blocks = search.pg_spread_blocks(args.v, spec, cert.solutions[0])
         with open(args.spread_out, "w") as fh:
             fh.write(_canonical(designs.blockset_to_json(blocks)))
-    _write_certificate(io, args, cert)
+    _write_certificate(io, cert)
     return _certificate_exit(cert)
 
 
@@ -303,12 +300,17 @@ def cmd_search_pg(io, args):
 # design
 # ----------------------------------------------------------------------
 
+def _point(blocks, index):
+    """Point ``index`` of the block set's PG(v-1, q), after q is validated."""
+    field_new(blocks.q)
+    return projspace.point_at(index, blocks.v, blocks.q)
+
+
 def cmd_design_check(io, args):
     blocks = designs.blockset_from_json(io.read_json(args.file))
     params = designs.DesignParams(t=args.t, v=args.v, k=args.k, lam=args.l, q=args.q)
     rep = designs.is_design(blocks, params)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "params": str(params),
         "ok": rep.ok,
         "witnesses": [
@@ -333,11 +335,7 @@ def cmd_design_dual(io, args):
 
 def cmd_design_derive(io, args):
     blocks = designs.blockset_from_json(io.read_json(args.file))
-    spec = field_new(blocks.q)
-    points = projspace.all_points(blocks.v, spec)
-    if not 0 <= args.point < len(points):
-        raise QGeomError(f"point index {args.point} outside PG({blocks.v - 1},{blocks.q})")
-    der = designs.derived_design(blocks, points[args.point])
+    der = designs.derived_design(blocks, _point(blocks, args.point))
     io.emit(designs.blockset_to_json(der),
             f"derived design at point {args.point}: {len(der)} blocks",
             payload_is_output=True)
@@ -357,7 +355,6 @@ def cmd_design_geometric(io, args):
     blocks = designs.blockset_from_json(io.read_json(args.file))
     rep = designs.is_geometric_spread(blocks)
     payload = {
-        "schema_version": SCHEMA_VERSION,
         "geometric": rep.ok,
         "witness": projspace.subspace_to_json(rep.witness) if rep.witness else None,
         "witness_count": rep.count,
@@ -374,13 +371,8 @@ def cmd_design_geometric(io, args):
 
 def cmd_design_alpha(io, args):
     blocks = designs.blockset_from_json(io.read_json(args.file))
-    spec = field_new(blocks.q)
-    points = projspace.all_points(blocks.v, spec)
-    if not 0 <= args.point < len(points):
-        raise QGeomError(f"point index {args.point} outside PG({blocks.v - 1},{blocks.q})")
-    ok = designs.is_alpha_point(blocks, points[args.point])
-    io.emit({"schema_version": SCHEMA_VERSION, "alpha_point": ok,
-             "point": args.point},
+    ok = designs.is_alpha_point(blocks, _point(blocks, args.point))
+    io.emit({"alpha_point": ok, "point": args.point},
             f"alpha point: {'true' if ok else 'false'}", payload_is_output=False)
     return EXIT_OK if ok else EXIT_ERROR
 
@@ -509,10 +501,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except QGeomError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (QGeomError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -26,12 +26,14 @@ from .errors import (
 )
 from .gf import FieldSpec, field_new, field_reduction, ops_for_order, prime_power_decomposition
 from .projspace import (
+    SCHEMA_VERSION,
     BilinearForm,
     PointId,
     Subspace,
     all_points,
     bit_ids,
     contains,
+    disjoint_union,
     dualize,
     enumerate_subspaces,
     gaussian_binomial,
@@ -41,6 +43,7 @@ from .projspace import (
     point_mask,
     point_of_vector,
     point_to_subspace,
+    q_number,
     quotient,
     require_ambient,
     subspace_from_json,
@@ -246,15 +249,10 @@ def spread_holes(blocks: BlockSet) -> frozenset[PointId]:
     order) that meets an earlier one.
     """
     points = all_points(blocks.v, field_new(blocks.q))
-    cover = 0
-    for B in blocks.sorted_blocks():
-        m = point_mask(B)
-        twice = cover & m
-        if twice:
-            p = points[(twice & -twice).bit_length() - 1]
-            raise NotPartialSpreadError(
-                f"point {p.vector} is covered more than once", witness=p)
-        cover |= m
+    cover, twice = disjoint_union(map(point_mask, blocks.sorted_blocks()))
+    if twice:
+        p = points[(twice & -twice).bit_length() - 1]
+        raise NotPartialSpreadError(f"point {p.vector} is covered more than once", witness=p)
     return frozenset(points[i] for i in bit_ids(~cover & ((1 << len(points)) - 1)))
 
 
@@ -273,17 +271,14 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
     2k-subspaces, because any 2k-subspace with two blocks is their join;
     this drops the cost from a Grassmannian sweep to #blocks^2 joins.
     """
-    params = DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)
-    if not is_design(blocks, params).ok:
-        raise NotASpreadError("block set is not a spread")
-    target = blocks.q ** blocks.k + 1
+    DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)  # checks k and q
+    field_new(blocks.q)
     block_list = blocks.sorted_blocks()
     block_masks = [point_mask(B) for B in block_list]
-    joins = set()
-    for i, B in enumerate(block_list):
-        for Bp in block_list[i + 1:]:
-            joins.add(join(B, Bp))
-    for J in sorted(joins):
+    if disjoint_union(block_masks) != ((1 << q_number(blocks.v, blocks.q)) - 1, 0):
+        raise NotASpreadError("block set is not a spread")
+    target = blocks.q ** blocks.k + 1
+    for J in sorted({join(B, Bp) for B, Bp in itertools.combinations(block_list, 2)}):
         jm = point_mask(J)
         c = sum(1 for m in block_masks if not m & ~jm)
         if c != target:
@@ -392,7 +387,7 @@ def cone_over(blocks: BlockSet) -> tuple[BlockSet, PointId]:
 
 def blockset_to_json(blocks: BlockSet) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "v": blocks.v,
         "k": blocks.k,
         "q": blocks.q,

@@ -26,10 +26,12 @@ from .errors import (
 )
 from .gf import field_new, ops_for_order
 from .projspace import (
+    SCHEMA_VERSION,
     Subspace,
     _kernel,
     all_points,
     bit_ids,
+    disjoint_union,
     enumerate_subspaces,
     form_value,
     json_object,
@@ -96,11 +98,14 @@ class IncidenceStructure:
 
         ``cols[c]`` holds coordinate c of every row and ``owner`` the label
         of each row, with line j numbered n_points + j.  Raises
-        AmbientMismatchError unless all labels live in one F_q^v.
+        AmbientMismatchError unless all labels live in one F_q^v, and
+        ValueError unless the point labels are points and the line labels lines.
         """
         labels = self.point_labels + self.line_labels
         v, q = labels[0].v, labels[0].q
         require_ambient(v, q, labels)
+        if any(P.k != 1 for P in self.point_labels) or any(L.k != 2 for L in self.line_labels):
+            raise ValueError("point labels must be points and line labels lines")
         rows = [row for lab in labels for row in lab.basis]
         cols = np.array(rows, dtype=np.intp).reshape(len(rows), v).T.copy()
         owner = np.repeat(np.arange(len(labels), dtype=np.intp),
@@ -363,21 +368,21 @@ def _connectivity_order(adj: list[int], deg: list[int]) -> list[int]:
 
 def is_gq_spread(structure: IncidenceStructure, lineset) -> bool:
     """Whether each point is incident with exactly one chosen line."""
-    return _each_meets_once(structure.point_masks, lineset, structure.n_lines, "line")
+    return _each_meets_once(structure.line_masks, lineset, structure.n_points, "line")
 
 
 def is_gq_ovoid(structure: IncidenceStructure, pointset) -> bool:
     """Whether each line is incident with exactly one chosen point."""
-    return _each_meets_once(structure.line_masks, pointset, structure.n_points, "point")
+    return _each_meets_once(structure.point_masks, pointset, structure.n_lines, "point")
 
 
-def _each_meets_once(row_masks, ids, n: int, kind: str) -> bool:
+def _each_meets_once(masks, ids, n_rows: int, kind: str) -> bool:
+    """Whether the chosen ids' masks partition the rows, i.e. each row meets one id."""
     chosen = set(ids)
     for x in chosen:
-        if not 0 <= x < n:
+        if not 0 <= x < len(masks):
             raise UnknownIdError(f"{kind} id {x} outside the structure")
-    chosen_mask = mask_of(chosen)
-    return all((m & chosen_mask).bit_count() == 1 for m in row_masks)
+    return disjoint_union([masks[x] for x in chosen]) == ((1 << n_rows) - 1, 0)
 
 
 def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
@@ -385,13 +390,14 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
 
     True iff the ovoid equals the quadric points inside some hyperplane
     of PG(4,q) containing no line of the quadric.  Needs the coordinate
-    labels from build_q4.
+    labels from build_q4: points labelled by points and lines by lines.
 
     The ovoid's rows are eliminated only until rank 4; one vectorized
     dot of the other rows with the normals of that span settles rank 4.
     Then one pass over ``q4.label_rows`` finds the labels inside the
     hyperplane.  The labels of the whole structure are checked for one
-    ambient space when that array is built, once per structure.
+    ambient space and their kinds when that array is built, once per
+    structure.
     """
     if q4.point_labels is None or q4.line_labels is None:
         raise MissingLabelsError("structure carries no coordinate labels")
@@ -401,6 +407,8 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     labels = [q4.point_labels[i] for i in ids]
     v, q = labels[0].v, labels[0].q
     require_ambient(v, q, labels)
+    if any(lab.k != 1 for lab in labels):
+        raise ValueError("an ovoid point is labelled by a subspace that is not a point")
     normals = _hyperplane_normals([lab.basis[0] for lab in labels], v, q)
     if normals is None:
         return False
@@ -458,7 +466,7 @@ def _field_arrays(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def structure_to_json(s: IncidenceStructure) -> dict:
     out = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "points": s.n_points,
         "lines": s.n_lines,
         "incidence": [list(ls) for ls in s.point_lines],

@@ -35,11 +35,13 @@ from .errors import (
     DegenerateFormError,
     NotContainedError,
     NotIncidentError,
+    OutOfRangeError,
     PayloadError,
 )
 from .gf import FieldSpec, dot, field_new, ops_for_order, prime_power_decomposition
 
 ENUMERATION_BUDGET = 10 ** 7
+SCHEMA_VERSION = 1  # written by every encoder, the only one the decoders accept
 
 
 # ----------------------------------------------------------------------
@@ -302,6 +304,22 @@ def all_points(v: int, spec: FieldSpec) -> tuple[PointId, ...]:
     return _point_data(v, spec.q)[0]
 
 
+def point_at(index: int, v: int, q: int) -> PointId:
+    """``all_points(v, q)[index]`` by arithmetic, without building the points.
+
+    Points with more leading zeros come first; within one leading
+    position the tail is the base-q digits of the offset.
+    """
+    if not 0 <= index < q_number(max(v, 0), q):
+        raise OutOfRangeError(f"point index {index} outside PG({v - 1},{q})")
+    tail_len, offset = 0, index
+    while offset >= q ** tail_len:
+        offset -= q ** tail_len
+        tail_len += 1
+    tail = tuple(offset // q ** i % q for i in reversed(range(tail_len)))
+    return PointId(vector=(0,) * (v - tail_len - 1) + (1,) + tail, index=index)
+
+
 def normalize_vector(vec, q: int) -> tuple[int, ...]:
     """Scale a nonzero vector so that its first nonzero entry is 1."""
     ops = ops_for_order(q)
@@ -367,6 +385,19 @@ def mask_of(ids) -> int:
     for i in ids:
         m |= 1 << i
     return m
+
+
+def disjoint_union(masks) -> tuple[int, int]:
+    """(union, overlap) of bit-packed sets; (full, 0) iff they partition full.
+
+    overlap is what the first mask to meet the union of the masks before it
+    shares with that union, returned with it; 0 when they are pairwise disjoint."""
+    union = 0
+    for m in masks:
+        if union & m:
+            return union, union & m
+        union |= m
+    return union, 0
 
 
 def bit_ids(mask: int):
@@ -493,9 +524,13 @@ def subspace_to_json(U: Subspace) -> dict:
 
 
 def json_object(obj, what: str, *keys: str) -> dict:
-    """obj itself if it is a JSON object with the given keys; PayloadError otherwise."""
+    """obj itself if it is a JSON object with the given keys and, if it
+    names one, schema_version SCHEMA_VERSION; PayloadError otherwise."""
     if not isinstance(obj, dict):
         raise PayloadError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    version = obj.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise PayloadError(f"{what} schema_version must be {SCHEMA_VERSION}, not {version!r}")
     for key in keys:
         if key not in obj:
             raise PayloadError(f"{what} payload has no key {key!r}")

@@ -40,7 +40,9 @@ from .errors import BudgetExceededError, PayloadError, UnknownIdError
 from .gf import FieldSpec
 from .gq import IncidenceStructure, check_gq
 from .projspace import (
+    SCHEMA_VERSION,
     bit_ids,
+    disjoint_union,
     enumerate_subspaces,
     json_object,
     mask_of,
@@ -291,8 +293,9 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
 
     def finish(solutions, count, nodes, completed, budget_hit):
         solutions = tuple(solutions)
+        options, cover = instance.options, ((1 << instance.n_elements) - 1, 0)
         for sol in solutions:
-            if not _verify_cover(instance, sol):
+            if disjoint_union([options[o] for o in sol]) != cover:
                 raise RuntimeError("internal: emitted solution is not an exact cover")
         final_mode = "nonexistence" if (completed and count == 0) else mode
         cert = SearchCertificate(
@@ -335,16 +338,6 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
         count = max_solutions
         completed = False
     return finish(solutions, count, nodes, completed, budget_hit)
-
-
-def _verify_cover(instance: ExactCoverInstance, solution) -> bool:
-    acc = 0
-    for opt in solution:
-        m = instance.options[opt]
-        if acc & m:
-            return False
-        acc |= m
-    return acc == (1 << instance.n_elements) - 1
 
 
 # ----------------------------------------------------------------------
@@ -492,7 +485,7 @@ def pg_spread_blocks(v: int, spec: FieldSpec, solution) -> BlockSet:
 
 def certificate_to_json(cert: SearchCertificate) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "digest": cert.digest,
         "mode": cert.mode,
         "solutions": [list(s) for s in cert.solutions],

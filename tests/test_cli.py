@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -359,6 +360,15 @@ def test_block_set_payload_missing_a_key_names_it(tmp_path, capsys):
     assert "block set payload has no key 'blocks'" in err
 
 
+def test_gq_check_refuses_another_schema_version(tmp_path, capsys):
+    f, payload = _w2_payload(tmp_path, capsys)
+    payload["schema_version"] = 7
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "gq", "check", str(f))
+    _one_error_line(code, out, err)
+    assert err == "error: structure schema_version must be 1, not 7\n"
+
+
 def test_line_label_with_decreasing_pivots_is_rejected(tmp_path, capsys):
     f, payload = _w2_payload(tmp_path, capsys)
     rows = payload["labels"]["lines"][0]["rows"]
@@ -559,3 +569,24 @@ def test_design_derive_point_out_of_range(tmp_path, capsys):
         "--out", str(spread))
     code, _, err = run(capsys, "design", "derive", str(spread), "--point", "99")
     assert code == EXIT_ERROR and "point index" in err
+
+
+@pytest.mark.parametrize("command", ["derive", "alpha"])
+@pytest.mark.parametrize("point", ["-1", "15"])
+def test_design_point_outside_the_space_is_one_error_line(command, point, tmp_path, capsys):
+    spread = tmp_path / "spread.json"
+    run(capsys, "design", "spread-gen", "--v", "4", "--k", "2", "--q", "2",
+        "--out", str(spread))
+    code, out, err = run(capsys, "design", command, str(spread), "--point", point)
+    _one_error_line(code, out, err)
+    assert err == f"error: point index {point} outside PG(3,2)\n"
+
+
+def test_design_derive_looks_up_its_point_without_building_the_space(tmp_path, capsys):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"v": 40, "q": 2, "k": 1, "blocks": []}))
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "design", "derive", str(f), "--point", "0")
+    assert time.perf_counter() - t0 < 1.0  # PG(39,2) has 2**40 - 1 points
+    assert code == EXIT_OK
+    assert json.loads(out) == {"schema_version": 1, "v": 39, "q": 2, "k": 0, "blocks": []}

@@ -304,6 +304,34 @@ def test_geometric_check_requires_a_spread():
         is_geometric_spread(block_set(enumerate_subspaces(4, 2, F2)[:4]))
 
 
+def _malformed_block_set(case):
+    if case == "k = v":
+        return BlockSet(v=4, q=2, k=4, blocks=frozenset({full_space(4, 2)}))
+    if case == "k = 0":
+        return BlockSet(v=4, q=2, k=0, blocks=frozenset())
+    if case == "q = 6":
+        return BlockSet(v=4, q=6, k=2, blocks=frozenset())
+    if case == "empty, q = 17":
+        return BlockSet(v=4, q=17, k=2, blocks=frozenset())
+    if case == "empty":
+        return BlockSet(v=4, q=2, k=2, blocks=frozenset())
+    if case == "overlapping":
+        return block_set(_overlapping_blocks("crossing pair"))
+    return block_set(desarguesian_spread(4, 2, F3).sorted_blocks()[1:])  # one block short
+
+
+@pytest.mark.parametrize("case,error", [
+    ("k = v", ValueError), ("k = 0", ValueError), ("q = 6", ValueError),
+    ("empty, q = 17", OutOfRangeError),
+    ("empty", NotASpreadError), ("overlapping", NotASpreadError),
+    ("Desarguesian minus a block", NotASpreadError),
+])
+def test_geometric_check_of_malformed_block_sets(case, error):
+    with pytest.raises(error) as err:
+        is_geometric_spread(_malformed_block_set(case))
+    assert type(err.value) is error
+
+
 def test_nongeometric_witness_from_sampled_spread():
     # a sampled non-Desarguesian line spread of PG(5,2); the witness is
     # a solid holding exactly 2 of its lines

@@ -41,6 +41,7 @@ from qgeom.projspace import (
     rref,
     subspace_from_rows,
     subspace_points,
+    subspace_to_json,
     symplectic_form,
 )
 from qgeom.search import gq_ovoid_instance, gq_spread_instance, solve_exact_cover
@@ -393,6 +394,38 @@ def test_elliptic_check_rejects_mixed_ambient_ovoid_labels():
     with pytest.raises(AmbientMismatchError):
         is_elliptic_quadric_ovoid(replace(q4, point_labels=labels), ovoid)
     assert _elliptic_outcome(replace(q4, point_labels=labels), ovoid) is AmbientMismatchError
+
+
+def test_elliptic_check_rejects_a_line_label_on_an_ovoid_point():
+    q4, ovoids = _q4_ovoids(3)
+    ovoid = ovoids[0]
+    assert is_elliptic_quadric_ovoid(q4, ovoid)
+    payload = structure_to_json(q4)
+    payload["labels"]["points"][ovoid[2]] = subspace_to_json(q4.line_labels[0])
+    relabelled = structure_from_json(payload)  # labels are not checked for kind here
+    with pytest.raises(ValueError, match="^an ovoid point is labelled by a .* not a point$"):
+        is_elliptic_quadric_ovoid(relabelled, ovoid)
+
+
+@pytest.mark.parametrize("kind", ["point", "line"])
+def test_elliptic_check_rejects_labels_of_the_wrong_kind_off_the_ovoid(kind):
+    q4, ovoids = _q4_ovoids(3)
+    ovoid = ovoids[0]
+    off = next(i for i in range(q4.n_points) if i not in ovoid)
+    if kind == "point":  # a point off the ovoid labelled by a line
+        s = replace(q4, point_labels=q4.point_labels[:off] + (q4.line_labels[0],)
+                    + q4.point_labels[off + 1:])
+    else:  # a line labelled by a point
+        s = replace(q4, line_labels=(q4.point_labels[off],) + q4.line_labels[1:])
+    with pytest.raises(ValueError, match="^point labels must be points and line labels lines$"):
+        is_elliptic_quadric_ovoid(s, ovoid)
+
+
+def test_the_dual_decodes_but_its_label_rows_are_refused():
+    # `gq dual` puts line labels on points, and `gq iso` reads that payload
+    dual = structure_from_json(structure_to_json(dualize_structure(build_q4(2))))
+    with pytest.raises(ValueError, match="^point labels must be points and line labels lines$"):
+        dual.label_rows
 
 
 def test_elliptic_check_rejects_non_ovoid():

@@ -18,6 +18,7 @@ from qgeom.errors import (
     DegenerateFormError,
     NotContainedError,
     NotIncidentError,
+    OutOfRangeError,
 )
 from qgeom import projspace
 from qgeom.gf import arith, field_new, ops_for_order
@@ -25,6 +26,7 @@ from qgeom.projspace import (
     Subspace,
     all_points,
     contains,
+    disjoint_union,
     dot_form,
     dualize,
     enumerate_subspaces,
@@ -36,6 +38,7 @@ from qgeom.projspace import (
     meet,
     normalize_vector,
     point_index,
+    point_at,
     point_mask,
     point_to_subspace,
     q_number,
@@ -530,3 +533,24 @@ def test_row_operations_agree_with_the_method_call_reference(case):
 def test_subspace_from_rows_rejects_rows_of_the_wrong_width():
     with pytest.raises(ValueError):
         subspace_from_rows([(1, 0, 1)], 4, 2)
+
+
+def test_disjoint_union():
+    assert disjoint_union([]) == (0, 0)
+    assert disjoint_union([0b0011, 0b0100, 0b1000]) == (0b1111, 0)
+    # the third of four masks meets the union of the first two
+    assert disjoint_union([0b0001, 0b0110, 0b1100, 0b0001]) == (0b0111, 0b0100)
+    assert disjoint_union([0b01, 0, 0b10, 0]) == (0b11, 0)
+
+
+def test_point_at_matches_all_points():
+    for v in range(1, 6):
+        for q in (2, 3, 4, 5):
+            points = all_points(v, field_new(q))
+            assert [point_at(i, v, q) for i in range(len(points))] == list(points)
+
+
+@pytest.mark.parametrize("index", [-1, 15, 10 ** 6])
+def test_point_at_refuses_an_index_outside_the_space(index):
+    with pytest.raises(OutOfRangeError, match=rf"^point index {index} outside PG\(3,2\)$"):
+        point_at(index, 4, 2)

@@ -240,3 +240,23 @@ def test_mutated_certificates_decode_or_raise_payload_error(data):
     for doc in (decoded, payload):
         doc.pop("schema_version", None)
     assert decoded == dict(payload, seed=payload.get("seed"))
+
+
+_ENCODED = [(structure_from_json, structure_to_json(build_w(2))),
+            (blockset_from_json, _SPREAD), (certificate_from_json, _CERTIFICATE)]
+
+
+@pytest.mark.parametrize("decode,payload", _ENCODED)
+@pytest.mark.parametrize("version", [7, "x", True, 1.0])
+def test_decoders_refuse_any_other_schema_version(decode, payload, version):
+    with pytest.raises(PayloadError, match="schema_version must be 1, not"):
+        decode(dict(_wire(payload), schema_version=version))
+
+
+@pytest.mark.parametrize("decode,payload", _ENCODED)
+def test_decoders_accept_schema_version_1_or_none(decode, payload):
+    doc = _wire(payload)
+    assert doc["schema_version"] == 1
+    decoded = decode(doc)
+    del doc["schema_version"]
+    assert decode(doc) == decoded
