@@ -19,6 +19,7 @@ invocations produce byte-identical payloads.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -39,6 +40,17 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        """The parser is built once per process, so an omitted --workers
+        reads QGEOM_WORKERS here, on every parse."""
+        namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "workers", 1) is None:
+            try:
+                namespace.workers = _int_at_least(1)(os.environ.get("QGEOM_WORKERS", "1"))
+            except argparse.ArgumentTypeError as exc:
+                self.error(f"argument --workers: {exc}")
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
@@ -267,6 +279,8 @@ def cmd_search_gq(io, args):
     try:
         cert = fn(s, args.mode, **_search_kwargs(args))
     except BudgetExceededError as exc:
+        if exc.certificate is None:
+            raise
         _write_certificate(io, exc.certificate)
         return EXIT_BUDGET
     _write_certificate(io, cert)
@@ -274,9 +288,6 @@ def cmd_search_gq(io, args):
 
 
 def _write_certificate(io, cert):
-    if cert is None:
-        print("budget exceeded before a certificate existed", file=sys.stderr)
-        return
     io.emit(search.certificate_to_json(cert), _describe(cert), payload_is_output=True)
 
 
@@ -286,6 +297,8 @@ def cmd_search_pg(io, args):
         cert = search.enumerate_pg_line_spreads(args.v, spec, args.mode,
                                                 **_search_kwargs(args))
     except BudgetExceededError as exc:
+        if exc.certificate is None:
+            raise
         _write_certificate(io, exc.certificate)
         return EXIT_BUDGET
     if args.spread_out and cert.solutions:
@@ -300,10 +313,15 @@ def cmd_search_pg(io, args):
 # design
 # ----------------------------------------------------------------------
 
-def _point(blocks, index):
-    """Point ``index`` of the block set's PG(v-1, q), after q is validated."""
+def _derived(blocks, index):
+    """Der_P for point ``index`` of the block set's PG(v-1, q), after q and
+    the index are checked.  Only a block's rows bound v, so the point's
+    length-v vector is built only when there is a block."""
     field_new(blocks.q)
-    return projspace.point_at(index, blocks.v, blocks.q)
+    if not blocks.blocks:
+        projspace.check_point_index(index, blocks.v, blocks.q)
+        return designs.BlockSet(v=blocks.v - 1, q=blocks.q, k=blocks.k - 1, blocks=frozenset())
+    return designs.derived_design(blocks, projspace.point_at(index, blocks.v, blocks.q))
 
 
 def cmd_design_check(io, args):
@@ -335,7 +353,7 @@ def cmd_design_dual(io, args):
 
 def cmd_design_derive(io, args):
     blocks = designs.blockset_from_json(io.read_json(args.file))
-    der = designs.derived_design(blocks, _point(blocks, args.point))
+    der = _derived(blocks, args.point)
     io.emit(designs.blockset_to_json(der),
             f"derived design at point {args.point}: {len(der)} blocks",
             payload_is_output=True)
@@ -371,7 +389,7 @@ def cmd_design_geometric(io, args):
 
 def cmd_design_alpha(io, args):
     blocks = designs.blockset_from_json(io.read_json(args.file))
-    ok = designs.is_alpha_point(blocks, _point(blocks, args.point))
+    ok = designs.is_alpha_derived(_derived(blocks, args.point))
     io.emit({"alpha_point": ok, "point": args.point},
             f"alpha point: {'true' if ok else 'false'}", payload_is_output=False)
     return EXIT_OK if ok else EXIT_ERROR
@@ -395,11 +413,11 @@ def _add_search_flags(p):
     p.add_argument("--max-solutions", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="option-order shuffle seed (default 0)")
-    p.add_argument("--workers", type=_int_at_least(1),
-                   default=os.environ.get("QGEOM_WORKERS", "1"),
+    p.add_argument("--workers", type=_int_at_least(1), default=None,
                    help="worker processes, at least 1 (default QGEOM_WORKERS or 1)")
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="qgeom", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"qgeom {__version__}")

@@ -220,7 +220,7 @@ def desarguesian_spread(v: int, k: int, spec: FieldSpec) -> BlockSet:
     The blocks are the F_{q^k}-points under field reduction; there are
     [v]_q / [k]_q of them.
     """
-    if v % k != 0:
+    if k >= 1 and v % k != 0:  # field_reduction refuses k < 1
         raise NotDivisibleError(f"k={k} does not divide v={v}")
     q = spec.q
     red = field_reduction(q, k)
@@ -292,7 +292,11 @@ def is_alpha_point(blocks: BlockSet, P: PointId) -> bool:
     Raises DerivedNotASpreadError when the derived family is not a
     spread at all (e.g. P lies on no block).
     """
-    der = derived_design(blocks, P)
+    return is_alpha_derived(derived_design(blocks, P))
+
+
+def is_alpha_derived(der: BlockSet) -> bool:
+    """``is_alpha_point``'s verdict from the derived design Der_P itself."""
     if not der.blocks:
         raise DerivedNotASpreadError("no block passes through the point")
     try:

@@ -304,14 +304,23 @@ def all_points(v: int, spec: FieldSpec) -> tuple[PointId, ...]:
     return _point_data(v, spec.q)[0]
 
 
+def check_point_index(index: int, v: int, q: int) -> None:
+    """Raise OutOfRangeError unless ``index`` numbers a point of PG(v-1, q).
+
+    [v]_q >= 2^v - 1, so an index of fewer than v bits is in range
+    without computing q^v.
+    """
+    if index < 0 or (v <= index.bit_length() and index >= q_number(max(v, 0), q)):
+        raise OutOfRangeError(f"point index {index} outside PG({v - 1},{q})")
+
+
 def point_at(index: int, v: int, q: int) -> PointId:
     """``all_points(v, q)[index]`` by arithmetic, without building the points.
 
     Points with more leading zeros come first; within one leading
     position the tail is the base-q digits of the offset.
     """
-    if not 0 <= index < q_number(max(v, 0), q):
-        raise OutOfRangeError(f"point index {index} outside PG({v - 1},{q})")
+    check_point_index(index, v, q)
     tail_len, offset = 0, index
     while offset >= q ** tail_len:
         offset -= q ** tail_len

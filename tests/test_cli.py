@@ -10,11 +10,13 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import qgeom
+from qgeom import search
 from qgeom.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -590,3 +592,143 @@ def test_design_derive_looks_up_its_point_without_building_the_space(tmp_path, c
     assert time.perf_counter() - t0 < 1.0  # PG(39,2) has 2**40 - 1 points
     assert code == EXIT_OK
     assert json.loads(out) == {"schema_version": 1, "v": 39, "q": 2, "k": 0, "blocks": []}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("command", ["derive", "alpha"])
+def test_design_point_on_a_huge_empty_block_set(command, q, tmp_path, capsys):
+    # a 50-byte payload: neither q^v nor a length-v vector may be built
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"v": 10 ** 7, "q": q, "k": 1, "blocks": []}))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "design", command, str(f), "--point", "0")
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 10 * 2 ** 20
+    if command == "derive":
+        assert code == EXIT_OK
+        assert json.loads(out) == {"schema_version": 1, "v": 10 ** 7 - 1, "q": q, "k": 0,
+                                   "blocks": []}
+    else:
+        _one_error_line(code, out, err)
+        assert err == "error: no block passes through the point\n"
+    code, out, err = run(capsys, "design", command, str(f), "--point", "-1")
+    _one_error_line(code, out, err)
+    assert err == f"error: point index -1 outside PG({10 ** 7 - 1},{q})\n"
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_design_spread_gen_refuses_a_degree_below_one(k, capsys):
+    code, out, err = run(capsys, "design", "spread-gen", "--v", "4", "--k", k, "--q", "2")
+    _one_error_line(code, out, err)
+    assert err == f"error: extension degree k={k} must be >= 1\n"
+
+
+@pytest.mark.parametrize("v", [3, 100])
+def test_refused_search_names_its_reason(v, capsys):
+    code, out, err = run(capsys, "search", "pg-spreads", "--v", str(v), "--q", "2")
+    assert code == EXIT_BUDGET and out == ""
+    assert err == (f"budget exceeded: line-spread search of PG({v - 1},2) is out of "
+                   "the desk-scale budget\n")
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+# ----------------------------------------------------------------------
+
+def test_parser_is_built_once_per_process(q4_2_file, capsys):
+    for argv in (["field", "--q", "2"], ["gq", "check", q4_2_file],
+                 ["search", "ovoids", q4_2_file], ["field", "--q", "3"]):
+        assert run(capsys, *argv)[0] == EXIT_OK
+    assert build_parser() is build_parser()
+    assert build_parser.cache_info().misses == 1
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    triangle = ["lambda", "--t", "2", "--v", "7", "--k", "3", "--l", "1", "--q", "2"]
+    code, out, _ = run(capsys, *triangle, "--json")
+    assert code == EXIT_OK and json.loads(out)["outputs"]["admissible"] is True
+    code, out, _ = run(capsys, *triangle)
+    assert code == EXIT_OK and out.strip() == GOLDEN_TRIANGLE_Q2
+
+    w2 = tmp_path / "w2.json"
+    run(capsys, "gq", "build", "--type", "W", "--q", "2", "--out", str(w2))
+    payload = w2.read_text()
+    w2.unlink()
+    code, out, _ = run(capsys, "gq", "build", "--type", "W", "--q", "2")
+    assert code == EXIT_OK and out == payload and not w2.exists()
+    w2.write_text(payload)
+
+    spread = tmp_path / "spread.json"
+    run(capsys, "design", "spread-gen", "--v", "4", "--k", "2", "--q", "2",
+        "--out", str(spread))
+    code, out, _ = run(capsys, "design", "derive", str(spread), "--point", "3")
+    assert code == EXIT_OK and len(json.loads(out)["blocks"]) == 1
+    args = build_parser().parse_args(["gq", "check", str(w2)])
+    assert sorted(vars(args)) == ["command", "file", "fn", "gq_command", "json", "out"]
+    assert args.out is None and args.json is False
+    code, out, _ = run(capsys, "gq", "check", str(w2))
+    assert code == EXIT_OK and out.strip() == "GQ of order (2,2)"
+
+
+def test_workers_env_is_read_on_every_call(q4_2_file, capsys, monkeypatch):
+    seen = []
+    enumerate_ovoids = search.enumerate_gq_ovoids
+
+    def spy(s, mode, **kwargs):
+        seen.append(kwargs["workers"])
+        return enumerate_ovoids(s, mode, **kwargs)
+
+    monkeypatch.setattr(search, "enumerate_gq_ovoids", spy)
+    argv = ["search", "ovoids", q4_2_file]
+    monkeypatch.setenv("QGEOM_WORKERS", "2")
+    assert run(capsys, *argv)[0] == EXIT_OK
+    monkeypatch.setenv("QGEOM_WORKERS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        "qgeom search ovoids: error: argument --workers: expected an integer >= 1, got '0'\n")
+    monkeypatch.delenv("QGEOM_WORKERS")
+    assert run(capsys, *argv)[0] == EXIT_OK
+    assert seen == [2, 1]
+
+
+# ----------------------------------------------------------------------
+# no tracebacks at small integer flags
+# ----------------------------------------------------------------------
+
+SWEEP_BASELINES = [
+    (["field"], {"--q": "2"}),
+    (["lambda"], {"--t": "2", "--v": "7", "--k": "3", "--l": "1", "--q": "2"}),
+    (["gq", "build", "--type", "W"], {"--q": "2"}),
+    (["search", "pg-spreads", "--mode", "count"],
+     {"--v": "4", "--q": "2", "--limit": "1e7", "--max-solutions": "100",
+      "--seed": "0", "--workers": "1"}),
+    (["design", "spread-gen"], {"--v": "4", "--k": "2", "--q": "2"}),
+    (["design", "check", "SPREAD"], {"--t": "1", "--v": "4", "--k": "2", "--l": "1", "--q": "2"}),
+    (["design", "derive", "SPREAD"], {"--point": "0"}),
+    (["design", "alpha", "SPREAD"], {"--point": "0"}),
+]
+
+
+def test_small_integer_flags_never_escape_as_a_traceback(tmp_path, capsys):
+    spread = tmp_path / "spread.json"
+    run(capsys, "design", "spread-gen", "--v", "4", "--k", "2", "--q", "2",
+        "--out", str(spread))
+    for head, flags in SWEEP_BASELINES:
+        head = [str(spread) if a == "SPREAD" else a for a in head]
+        for flag in flags:
+            for value in ("-1", "0", "1"):
+                argv = head + [a for f, x in {**flags, flag: value}.items() for a in (f, x)]
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                capsys.readouterr()
+                assert code in (EXIT_OK, EXIT_ERROR, EXIT_BUDGET, EXIT_NONEXISTENCE,
+                                EXIT_USAGE), argv

@@ -25,6 +25,7 @@ from qgeom.gf import arith, field_new, ops_for_order
 from qgeom.projspace import (
     Subspace,
     all_points,
+    check_point_index,
     contains,
     disjoint_union,
     dot_form,
@@ -554,3 +555,16 @@ def test_point_at_matches_all_points():
 def test_point_at_refuses_an_index_outside_the_space(index):
     with pytest.raises(OutOfRangeError, match=rf"^point index {index} outside PG\(3,2\)$"):
         point_at(index, 4, 2)
+
+
+def test_check_point_index_agrees_with_the_point_count():
+    # indices around [v]_q and around 2^v, where the bit-length shortcut ends
+    for v in range(-1, 7):
+        for q in (2, 3, 4, 5):
+            n = q_number(max(v, 0), q)
+            for index in {-2, -1, 0, 1, n - 1, n, n + 1, 2 ** max(v, 0) - 1, 2 ** max(v, 0)}:
+                if 0 <= index < n:
+                    check_point_index(index, v, q)
+                else:
+                    with pytest.raises(OutOfRangeError, match=rf"^point index {index} outside "):
+                        check_point_index(index, v, q)
