@@ -276,13 +276,7 @@ def cmd_search_gq(io, args):
         "partition-spreads": search.partition_into_spreads,
         "partition-ovoids": search.partition_into_ovoids,
     }[args.what]
-    try:
-        cert = fn(s, args.mode, **_search_kwargs(args))
-    except BudgetExceededError as exc:
-        if exc.certificate is None:
-            raise
-        _write_certificate(io, exc.certificate)
-        return EXIT_BUDGET
+    cert = fn(s, args.mode, **_search_kwargs(args))
     _write_certificate(io, cert)
     return _certificate_exit(cert)
 
@@ -293,14 +287,7 @@ def _write_certificate(io, cert):
 
 def cmd_search_pg(io, args):
     spec = field_new(args.q)
-    try:
-        cert = search.enumerate_pg_line_spreads(args.v, spec, args.mode,
-                                                **_search_kwargs(args))
-    except BudgetExceededError as exc:
-        if exc.certificate is None:
-            raise
-        _write_certificate(io, exc.certificate)
-        return EXIT_BUDGET
+    cert = search.enumerate_pg_line_spreads(args.v, spec, args.mode, **_search_kwargs(args))
     if args.spread_out and cert.solutions:
         blocks = search.pg_spread_blocks(args.v, spec, cert.solutions[0])
         with open(args.spread_out, "w") as fh:
@@ -514,11 +501,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     io = _Io(args, ["qgeom"] + argv)
-    try:
-        return args.fn(io, args)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    try:  # the outer handler also catches a failed certificate write
+        try:
+            return args.fn(io, args)
+        except BudgetExceededError as exc:
+            if exc.certificate is None:
+                print(f"budget exceeded: {exc}", file=sys.stderr)
+            else:  # a search's partial certificate is its output
+                _write_certificate(io, exc.certificate)
+            return EXIT_BUDGET
     except (QGeomError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

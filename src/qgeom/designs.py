@@ -85,6 +85,8 @@ class BlockSet:
     blocks: frozenset[Subspace]
 
     def __post_init__(self):
+        if not 0 <= self.k <= self.v:
+            raise ValueError(f"need 0 <= k <= v, got k={self.k} in v={self.v}")
         for B in self.blocks:
             if (B.v, B.q) != (self.v, self.q):
                 raise ValueError("block ambient mismatch")

@@ -27,6 +27,7 @@ from .errors import (
 from .gf import field_new, ops_for_order
 from .projspace import (
     SCHEMA_VERSION,
+    BilinearForm,
     Subspace,
     _kernel,
     all_points,
@@ -152,52 +153,45 @@ def incidence_from_lines(n_points: int, lines,
 @lru_cache(maxsize=None)
 def build_w(q: int) -> IncidenceStructure:
     """W(q): points of PG(3,q) with the totally isotropic lines of the
-    alternating form x1 y2 - x2 y1 + x3 y4 - x4 y3."""
-    spec = field_new(q)  # raises OutOfRangeError beyond 16
-    form = symplectic_form(q)
-    points = all_points(4, spec)
-    iso_lines = []
-    for L in enumerate_subspaces(4, 2, spec):
-        b0, b1 = L.basis
-        if form_value(form, b0, b1, q) == 0:
-            iso_lines.append(L)
-    line_points = [tuple(bit_ids(point_mask(L))) for L in iso_lines]
-    point_labels = tuple(point_to_subspace(p, 4, q) for p in points)
-    return incidence_from_lines(len(points), line_points,
-                                point_labels=point_labels,
-                                line_labels=tuple(iso_lines))
-
-
-def _parabolic_value(vec, q: int) -> int:
-    # q(x) = x1 x2 + x3 x4 + x5^2
-    ops = ops_for_order(q)
-    return ops.add(ops.add(ops.mul(vec[0], vec[1]), ops.mul(vec[2], vec[3])),
-                   ops.mul(vec[4], vec[4]))
+    alternating form x1 y2 - x2 y1 + x3 y4 - x4 y3; every point is isotropic."""
+    return _polar_quadrangle(4, q, BilinearForm(gram=((0,) * 4,) * 4), symplectic_form(q))
 
 
 @lru_cache(maxsize=None)
 def build_q4(q: int) -> IncidenceStructure:
     """Q(4,q): projective zeroes of x1 x2 + x3 x4 + x5^2 in PG(4,q),
-    with all the lines of PG(4,q) inside the zero set.
-
-    A line <b0, b1> lies in the quadric iff Q(b0) = Q(b1) = Q(b0 + b1) = 0,
-    because Q(a b0 + b b1) = a^2 Q(b0) + b^2 Q(b1) + ab (Q(b0 + b1) - Q(b0)
-    - Q(b1)) in every characteristic; only the kept lines get point sets.
-    """
-    spec = field_new(q)
+    with all the lines of PG(4,q) inside the zero set."""
     ops = ops_for_order(q)
-    quadric = [p for p in all_points(5, spec) if _parabolic_value(p.vector, q) == 0]
-    idx = {p.index: i for i, p in enumerate(quadric)}
-    lines = []
-    for L in enumerate_subspaces(5, 2, spec):
-        b0, b1 = L.basis
-        if (_parabolic_value(b0, q) == 0 and _parabolic_value(b1, q) == 0
-                and _parabolic_value([ops.add(x, y) for x, y in zip(b0, b1)], q) == 0):
-            lines.append(L)
-    point_labels = tuple(point_to_subspace(p, 5, q) for p in quadric)
+    upper = ((0, 1, 0, 0, 0), (0,) * 5, (0, 0, 0, 1, 0), (0,) * 5, (0, 0, 0, 0, 1))
+    polar = tuple(tuple(map(ops.add, row, col)) for row, col in zip(upper, zip(*upper)))
+    return _polar_quadrangle(5, q, BilinearForm(gram=upper),
+                             BilinearForm(gram=polar, kind="symmetric"))
+
+
+def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
+                      polar: BilinearForm) -> IncidenceStructure:
+    """The points x of PG(v-1,q) with Q(x) = quadratic(x, x) = 0, and the
+    lines of PG(v-1,q) all of whose points are such zeroes.
+
+    A line <b0, b1> is kept iff Q(b0) = Q(b1) = f(b0, b1) = 0 for the polar
+    form f, which is exact in every characteristic because
+    Q(a b0 + b b1) = a^2 Q(b0) + b^2 Q(b1) + ab f(b0, b1).  For W(q), Q is
+    zero and f alternating, so f(a b0 + b b1, c b0 + d b1) = (ad - bc) f(b0, b1).
+    RREF rows are normalized point vectors, so the first two conditions are
+    a lookup in the zero set; only the kept lines get point sets.
+    """
+    spec = field_new(q)  # raises OutOfRangeError beyond 16
+    zeroes = [p for p in all_points(v, spec)
+              if form_value(quadratic, p.vector, p.vector, q) == 0]
+    idx = {p.index: i for i, p in enumerate(zeroes)}
+    singular = {p.vector for p in zeroes}
+    lines = [L for L in enumerate_subspaces(v, 2, spec)
+             if L.basis[0] in singular and L.basis[1] in singular
+             and form_value(polar, L.basis[0], L.basis[1], q) == 0]
     return incidence_from_lines(
-        len(quadric), [[idx[i] for i in bit_ids(point_mask(L))] for L in lines],
-        point_labels=point_labels, line_labels=tuple(lines))
+        len(zeroes), [[idx[i] for i in bit_ids(point_mask(L))] for L in lines],
+        point_labels=tuple(point_to_subspace(p, v, q) for p in zeroes),
+        line_labels=tuple(lines))
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +275,9 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
     a-point i, or None when the exhausted search certifies there is no
     isomorphism.  Backtracking over the bipartite incidence graph with
     degree pruning and exact adjacency consistency against the mapped
-    prefix; adequate for structures up to a few hundred points.
+    prefix.  The search keeps an explicit stack of candidate bitmasks,
+    one per depth, so its depth is not bounded by the interpreter's
+    recursion limit.
 
     Raises BudgetExceededError past node_limit candidate tries, which is
     distinct from a certified negative.
@@ -299,39 +295,41 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
         return None
 
     order = _connectivity_order(adj_a, deg_a)
-    by_kind = [[y for y in range(n) if kind[y] == 0],
-               [y for y in range(n) if kind[y] == 1]]
+    depth_of = {x: d for d, x in enumerate(order)}
+    # per depth: the neighbours of order[depth] mapped before it, earliest first
+    earlier = [sorted((y for y in bit_ids(adj_a[x]) if depth_of[y] < d),
+                      key=depth_of.__getitem__) for d, x in enumerate(order)]
+    same_class = {}  # (kind, degree) -> mask of the b-vertices of that class
+    for y in range(n):
+        same_class[kind[y], deg_b[y]] = same_class.get((kind[y], deg_b[y]), 0) | 1 << y
 
-    mapping = [-1] * n
-    used_b = 0
-    nodes = 0
-
-    def extend(depth: int) -> bool:
-        nonlocal used_b, nodes
-        if depth == n:
-            return True
-        x = order[depth]
-        required = mask_of(mapping[y] for y in bit_ids(adj_a[x]) if mapping[y] >= 0)
-        for cand in by_kind[kind[x]]:
-            if used_b >> cand & 1:
-                continue
-            if deg_b[cand] != deg_a[x]:
-                continue
-            if adj_b[cand] & used_b != required:
-                continue
-            nodes += 1
-            if nodes > node_limit:
-                raise BudgetExceededError(
-                    f"isomorphism search exceeded {node_limit} nodes")
-            mapping[x] = cand
-            used_b |= 1 << cand
-            if extend(depth + 1):
-                return True
-            used_b &= ~(1 << cand)
-            mapping[x] = -1
-        return False
-
-    if not extend(0):
+    mapping, pending, required = [-1] * n, [0] * n, [0] * n
+    depth, used_b, nodes, entering = 0, 0, 0, True
+    while 0 <= depth < n:
+        x, prev = order[depth], earlier[depth]
+        if entering:  # unused vertices of x's class next to its first mapped neighbour's image
+            required[depth] = mask_of(mapping[y] for y in prev)
+            pending[depth] = (same_class[kind[x], deg_a[x]] & ~used_b
+                              & (adj_b[mapping[prev[0]]] if prev else -1))
+        else:  # back from the level below: free x's image
+            used_b ^= 1 << mapping[x]
+        cands, need = pending[depth], required[depth]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            if adj_b[low.bit_length() - 1] & used_b == need:
+                break
+        else:
+            depth, entering = depth - 1, False
+            continue
+        pending[depth] = cands
+        nodes += 1
+        if nodes > node_limit:
+            raise BudgetExceededError(f"isomorphism search exceeded {node_limit} nodes")
+        mapping[x] = low.bit_length() - 1
+        used_b |= low
+        depth, entering = depth + 1, True
+    if depth < 0:
         return None
     point_map = tuple(mapping[:npts])
     line_map = tuple(m - npts for m in mapping[npts:])

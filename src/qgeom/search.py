@@ -388,33 +388,33 @@ def partition_into_spreads(structure: IncidenceStructure, mode: str = "all",
     Materializes every spread first (feasible at desk scale), then runs
     exact cover with universe = lines and options = spreads.  Option ids
     of the returned certificate index into the solution list of
-    enumerate_gq_spreads(structure).
+    enumerate_gq_spreads(structure).  node_limit applies to each level
+    separately; a first-level abort raises BudgetExceededError without a
+    certificate, since its partial certificate is of the spread search.
     """
-    spreads = enumerate_gq_spreads(structure, "all", **_strip_cap(kwargs))
-    return _partition_level(structure.n_lines, spreads.solutions, "spread",
-                            mode, kwargs)
+    return _two_levels(enumerate_gq_spreads, structure, structure.n_lines, "spread",
+                       mode, kwargs)
 
 
 def partition_into_ovoids(structure: IncidenceStructure, mode: str = "all",
                           **kwargs) -> SearchCertificate:
-    """Dual second-level search: partition the point set into ovoids."""
-    ovoids = enumerate_gq_ovoids(structure, "all", **_strip_cap(kwargs))
-    return _partition_level(structure.n_points, ovoids.solutions, "ovoid",
-                            mode, kwargs)
+    """Dual second-level search: partition the point set into ovoids,
+    with the node budget of partition_into_spreads."""
+    return _two_levels(enumerate_gq_ovoids, structure, structure.n_points, "ovoid",
+                       mode, kwargs)
 
 
-def _partition_level(n_elements, first_level_solutions, label, mode, kwargs):
+def _two_levels(enumerate_first, structure, n_elements, label, mode, kwargs):
+    try:
+        first = enumerate_first(structure, "all",
+                                **{k: v for k, v in kwargs.items() if k != "max_solutions"})
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(f"first level ({label} enumeration): {exc}") from exc
     instance = ExactCoverInstance(
         n_elements=n_elements,
-        options=tuple(mask_of(sol) for sol in first_level_solutions),
-        names=tuple(f"{label}-{i}" for i in range(len(first_level_solutions))))
+        options=tuple(mask_of(sol) for sol in first.solutions),
+        names=tuple(f"{label}-{i}" for i in range(len(first.solutions))))
     return solve_exact_cover(instance, mode, **kwargs)
-
-
-def _strip_cap(kwargs):
-    out = dict(kwargs)
-    out.pop("max_solutions", None)
-    return out
 
 
 def pairwise_intersection_matrix(certificate: SearchCertificate,

@@ -239,6 +239,25 @@ def test_gq_build_payload_digest_is_pinned(kind, q, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GQ_BUILD_SHA256[kind, q]
 
 
+GQ_ISO_SHA256 = {
+    2: "8033a52b13ab30b917389ba2da859efa31c87c1758034ddd9e2553c39175169f",
+    3: "d682ed0f95d7cdb6ca577eec0a6eaf25d49c57de3b560be2a1b6515cd025dc46",
+    4: "41313715357d92b3b8c99bd183921e27b19c832b23a722c203e5d490a97e956c",
+    5: "f707e22f5b5d447ea4d6a9808b04a2f0bbb5da6f5dc8524fd60a4311764bee58",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GQ_ISO_SHA256))
+def test_gq_iso_payload_digest_is_pinned(q, tmp_path, capsys):
+    w, q4, dual, iso = (tmp_path / name for name in ("w.json", "q4.json", "dual.json",
+                                                     "iso.json"))
+    run(capsys, "gq", "build", "--type", "W", "--q", str(q), "--out", str(w))
+    run(capsys, "gq", "build", "--type", "Q4", "--q", str(q), "--out", str(q4))
+    run(capsys, "gq", "dual", str(w), "--out", str(dual))
+    assert run(capsys, "gq", "iso", str(dual), str(q4), "--out", str(iso))[0] == EXIT_OK
+    assert hashlib.sha256(iso.read_bytes()).hexdigest() == GQ_ISO_SHA256[q]
+
+
 @pytest.mark.parametrize("line_id", [5, -1])
 def test_gq_check_rejects_unknown_line_ids(line_id, tmp_path, capsys):
     f = tmp_path / "bad.json"
@@ -423,6 +442,18 @@ def test_search_exit_codes(q4_2_file, tmp_path, capsys):
     assert code == EXIT_BUDGET
     payload = json.loads(cert.read_text())
     assert payload["completed"] is False
+
+
+@pytest.mark.parametrize("what,level", [("partition-ovoids", "ovoid"),
+                                        ("partition-spreads", "spread")])
+def test_partition_first_level_abort_emits_no_certificate(what, level, q4_2_file, tmp_path,
+                                                          capsys):
+    cert = tmp_path / "cert.json"
+    for out_flag in ([], ["--out", str(cert)]):
+        code, out, err = run(capsys, "search", what, q4_2_file, "--limit", "3", *out_flag)
+        assert code == EXIT_BUDGET and out == "" and not cert.exists()
+        assert err == (f"budget exceeded: first level ({level} enumeration): "
+                       "node budget 3 exceeded\n")
 
 
 @pytest.mark.parametrize("flag,value", [("--limit", "-5"), ("--limit", "-1e3"),
@@ -626,6 +657,16 @@ def test_design_spread_gen_refuses_a_degree_below_one(k, capsys):
     code, out, err = run(capsys, "design", "spread-gen", "--v", "4", "--k", k, "--q", "2")
     _one_error_line(code, out, err)
     assert err == f"error: extension degree k={k} must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [["spread-gen", "--v", "0", "--k", "2", "--q", "2"],
+                                  ["dual", "-"], ["derive", "-", "--point", "0"]])
+def test_block_dimension_outside_the_space_is_one_error_line(argv, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"v": 4, "q": 2, "k": 5, "blocks": []}'))
+    code, out, err = run(capsys, "design", *argv)
+    _one_error_line(code, out, err)
+    assert err == ("error: need 0 <= k <= v, got k=2 in v=0\n" if argv[0] == "spread-gen"
+                   else "error: need 0 <= k <= v, got k=5 in v=4\n")
 
 
 @pytest.mark.parametrize("v", [3, 100])

@@ -304,6 +304,12 @@ def test_geometric_check_requires_a_spread():
         is_geometric_spread(block_set(enumerate_subspaces(4, 2, F2)[:4]))
 
 
+@pytest.mark.parametrize("v,k", [(4, 5), (4, -1), (0, 2), (-2, 2)])
+def test_block_set_dimension_must_fit_the_space(v, k):
+    with pytest.raises(ValueError, match=f"need 0 <= k <= v, got k={k} in v={v}"):
+        BlockSet(v=v, q=2, k=k, blocks=frozenset())
+
+
 def _malformed_block_set(case):
     if case == "k = v":
         return BlockSet(v=4, q=2, k=4, blocks=frozenset({full_space(4, 2)}))

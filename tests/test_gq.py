@@ -33,6 +33,7 @@ from qgeom.gq import (
 )
 from qgeom.projspace import (
     _kernel,
+    all_points,
     contains,
     enumerate_subspaces,
     form_value,
@@ -67,17 +68,41 @@ def test_w_and_q4_counts(q):
         assert all(len(ls) == q + 1 for ls in s.point_lines)
 
 
-def test_w_lines_are_the_isotropic_ones():
-    # independent filter: count lines of PG(3,2) on which the
-    # alternating form vanishes identically
-    spec = field_new(2)
-    form = symplectic_form(2)
-    count = 0
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_w_lines_are_the_isotropic_ones(q):
+    # independent filter: the lines of PG(3,q) on which the alternating
+    # form vanishes identically, point pair by point pair
+    spec = field_new(q)
+    form = symplectic_form(q)
+    lines = []
     for L in enumerate_subspaces(4, 2, spec):
         pts = [p.vector for p in subspace_points(L)]
-        if all(form_value(form, x, y, 2) == 0 for x in pts for y in pts):
-            count += 1
-    assert count == build_w(2).n_lines == 15
+        if all(form_value(form, x, y, q) == 0 for x in pts for y in pts):
+            lines.append(L)
+    assert len(lines) == build_w(q).n_lines == (q + 1) * (q * q + 1)
+    assert tuple(lines) == build_w(q).line_labels
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_q4_is_the_zero_set_of_its_quadratic_form(q):
+    # independent oracle: x1 x2 + x3 x4 + x5^2 in field arithmetic, and
+    # every line of PG(4,q) whose q + 1 points are all zeroes
+    ops = ops_for_order(q)
+
+    def quadric(x):
+        return ops.add(ops.add(ops.mul(x[0], x[1]), ops.mul(x[2], x[3])), ops.mul(x[4], x[4]))
+
+    spec = field_new(q)
+    zeroes = [p.vector for p in all_points(5, spec) if quadric(p.vector) == 0]
+    index = {x: i for i, x in enumerate(zeroes)}
+    lines = [L for L in enumerate_subspaces(5, 2, spec)
+             if all(quadric(p.vector) == 0 for p in subspace_points(L))]
+    q4 = build_q4(q)
+    assert [P.basis[0] for P in q4.point_labels] == zeroes
+    assert len(zeroes) == (q + 1) * (q * q + 1)
+    assert q4.line_labels == tuple(lines)
+    assert q4.line_points == tuple(tuple(sorted(index[p.vector] for p in subspace_points(L)))
+                                   for L in lines)
 
 
 def test_q4_lines_lie_on_the_quadric():
@@ -203,6 +228,20 @@ def test_nonisomorphic_same_size_certified():
     other = incidence_from_lines(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8),
                                      (0, 3, 6), (1, 4, 7), (2, 5, 7)])
     assert is_isomorphic(grid, other) is None
+
+
+def test_isomorphism_search_is_deeper_than_the_recursion_limit():
+    # a 32 x 32 grid has 1,088 vertices, one search level each; the second
+    # copy numbers its points and lines backwards
+    m = 32
+    lines = ([tuple(range(i * m, (i + 1) * m)) for i in range(m)]
+             + [tuple(range(j, m * m, m)) for j in range(m)])
+    grid = incidence_from_lines(m * m, lines)
+    other = incidence_from_lines(m * m, [tuple(m * m - 1 - p for p in pts)
+                                         for pts in reversed(lines)])
+    pm, lm = is_isomorphic(grid, other)
+    for j, pts in enumerate(grid.line_points):
+        assert tuple(sorted(pm[p] for p in pts)) == other.line_points[lm[j]]
 
 
 def test_isomorphism_budget():

@@ -121,6 +121,21 @@ def test_node_budget_raises_with_partial_certificate():
     assert cert.nodes_visited == 11
 
 
+@pytest.mark.parametrize("partition,enumerate_first,level", [
+    (partition_into_ovoids, enumerate_gq_ovoids, "ovoid"),
+    (partition_into_spreads, enumerate_gq_spreads, "spread")])
+def test_partition_node_budget_applies_to_each_level(partition, enumerate_first, level):
+    q4 = build_q4(2)
+    first = enumerate_first(q4).nodes_visited
+    with pytest.raises(BudgetExceededError) as err:
+        partition(q4, node_limit=first - 1)
+    # the first level's partial certificate is of another instance
+    assert err.value.certificate is None
+    assert str(err.value).startswith(f"first level ({level} enumeration): ")
+    cert = partition(q4, node_limit=first)
+    assert cert.completed and cert.nodes_visited <= first
+
+
 # ----------------------------------------------------------------------
 # The search tree is locked
 # ----------------------------------------------------------------------
