@@ -42,13 +42,16 @@ EXIT_USAGE = 64
 class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
         """The parser is built once per process, so an omitted --workers
-        reads QGEOM_WORKERS here, on every parse."""
+        reads QGEOM_WORKERS here, on every parse.  Flag combinations that
+        no run could honour are refused here too, before any work."""
         namespace, extras = super().parse_known_args(args, namespace)
         if getattr(namespace, "workers", 1) is None:
             try:
                 namespace.workers = _int_at_least(1)(os.environ.get("QGEOM_WORKERS", "1"))
             except argparse.ArgumentTypeError as exc:
                 self.error(f"argument --workers: {exc}")
+        if getattr(namespace, "spread_out", None) and namespace.mode == "count":
+            self.error("argument --spread-out: count mode stores no spread to write")
         return namespace, extras
 
     def error(self, message):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BudgetExceededError,
     DerivedNotASpreadError,
     NotASpreadError,
     NotDivisibleError,
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .gf import FieldSpec, field_new, field_reduction, ops_for_order, prime_power_decomposition
 from .projspace import (
+    ENUMERATION_BUDGET,
     SCHEMA_VERSION,
     BilinearForm,
     PointId,
@@ -220,12 +222,17 @@ def desarguesian_spread(v: int, k: int, spec: FieldSpec) -> BlockSet:
     """The (k-1)-spread of F_q^v obtained by viewing V as F_{q^k}^{v/k}.
 
     The blocks are the F_{q^k}-points under field reduction; there are
-    [v]_q / [k]_q of them.
+    [v]_q / [k]_q of them.  Raises BudgetExceededError before building
+    anything when that count exceeds ENUMERATION_BUDGET.
     """
     if k >= 1 and v % k != 0:  # field_reduction refuses k < 1
         raise NotDivisibleError(f"k={k} does not divide v={v}")
     q = spec.q
     red = field_reduction(q, k)
+    count = q_number(v, q) // q_number(k, q)
+    if count > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"{count} spread blocks exceed the enumeration budget {ENUMERATION_BUDGET}")
     m = v // k
     mats = red.mul_matrices
     blocks = []

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     BudgetExceededError,
@@ -45,6 +44,9 @@ from .projspace import (
     subspace_to_json,
     symplectic_form,
 )
+
+if TYPE_CHECKING:  # numpy loads on the first call that needs it
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,7 @@ class IncidenceStructure:
 
     def incidence_matrix(self) -> np.ndarray:
         """Dense point x line incidence bit matrix."""
+        import numpy as np
         m = np.zeros((self.n_points, self.n_lines), dtype=bool)
         for j, pts in enumerate(self.line_points):
             m[list(pts), j] = True
@@ -102,6 +105,7 @@ class IncidenceStructure:
         AmbientMismatchError unless all labels live in one F_q^v, and
         ValueError unless the point labels are points and the line labels lines.
         """
+        import numpy as np
         labels = self.point_labels + self.line_labels
         v, q = labels[0].v, labels[0].q
         require_ambient(v, q, labels)
@@ -397,6 +401,7 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     ambient space and their kinds when that array is built, once per
     structure.
     """
+    import numpy as np
     if q4.point_labels is None or q4.line_labels is None:
         raise MissingLabelsError("structure carries no coordinate labels")
     ids = sorted(set(pointset))
@@ -424,6 +429,7 @@ def _hyperplane_normals(rows, v: int, q: int):
     Row-reduces a growing prefix of rows only until rank 4, then checks
     the remaining rows against the normals in one vectorized dot.
     """
+    import numpy as np
     basis, end = rref(rows[:4], q), 4
     while len(basis) < 4 and end < len(rows):  # the rank grows by at most 1 a row
         basis, end = rref(basis + (rows[end],), q), end + 1
@@ -437,6 +443,7 @@ def _hyperplane_normals(rows, v: int, q: int):
 def _off_normals(cols, normals, q: int) -> np.ndarray:
     """Per row of the column array cols: whether the row has a nonzero dot
     with some normal, i.e. lies outside the subspace they annihilate."""
+    import numpy as np
     add, mul = _field_arrays(q)
     off = np.zeros(cols.shape[1], dtype=bool)
     for n in normals:
@@ -451,6 +458,7 @@ def _off_normals(cols, normals, q: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _field_arrays(q: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only numpy copies of the add and mul tables of F_q."""
+    import numpy as np
     ops = ops_for_order(q)
     tables = np.array(ops._add, dtype=np.intp), np.array(ops._mul, dtype=np.intp)
     for t in tables:

@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import random
 import sys
 import warnings
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .designs import BlockSet, block_set
 from .errors import BudgetExceededError, PayloadError, UnknownIdError
@@ -49,6 +47,9 @@ from .projspace import (
     point_mask,
     q_number,
 )
+
+if TYPE_CHECKING:  # numpy loads on the first call that needs it
+    import numpy as np
 
 MODES = ("first", "all", "count")
 
@@ -323,6 +324,7 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     branch = bit_ids(probe.cols[col])
     args = [(instance, option_order, store, max_solutions, node_limit, forced)
             for forced in branch]
+    import multiprocessing
     with multiprocessing.Pool(processes=min(workers, len(args))) as pool:
         results = pool.starmap(_run_subtree, args)
     solutions, count, nodes, completed, budget_hit = [], 0, 0, True, False
@@ -426,6 +428,7 @@ def pairwise_intersection_matrix(certificate: SearchCertificate,
     """
     if kind not in ("ovoid", "spread"):
         raise ValueError("kind must be 'ovoid' or 'spread'")
+    import numpy as np
     sols = certificate.solutions
     width = 1 + max((max(s) for s in sols if s), default=-1)
     a = np.zeros((len(sols), width), dtype=np.int64)

@@ -153,6 +153,47 @@ def test_installed_console_script(tmp_path):
         assert proc.stderr.startswith("error:"), proc.stderr
 
 
+# Runs the paper's pipeline through cli.main in one fresh interpreter
+# (argv[1] is a scratch directory) and prints which heavy modules each
+# stage left loaded; the pytest process itself already holds numpy.
+LAZY_IMPORT_RUNNER = """\
+import json, sys
+from pathlib import Path
+from qgeom import cli, gq
+d = Path(sys.argv[1])
+loaded = lambda: sorted({"numpy", "multiprocessing"} & sys.modules.keys())
+after_import = loaded()
+codes = [cli.main(argv) for argv in (
+    ["gq", "build", "--type", "Q4", "--q", "3", "--out", str(d / "q4.json")],
+    ["gq", "build", "--type", "W", "--q", "3", "--out", str(d / "w.json")],
+    ["gq", "check", str(d / "q4.json")],
+    ["search", "ovoids", str(d / "q4.json"), "--out", str(d / "ovoids.json")],
+    ["search", "partition-ovoids", str(d / "q4.json"), "--out", str(d / "part.json")],
+    ["gq", "dual", str(d / "w.json"), "--out", str(d / "dual.json")])]
+with open(d / "dual.json") as sys.stdin:
+    codes.append(cli.main(["gq", "iso", "-", str(d / "q4.json")]))
+after_pipeline = loaded()
+ovoid = json.loads((d / "ovoids.json").read_text())["solutions"][0]
+elliptic = gq.is_elliptic_quadric_ovoid(gq.build_q4(3), ovoid)
+print(json.dumps([after_import, codes, after_pipeline, elliptic, loaded()]))
+"""
+
+
+def test_cli_pipeline_loads_neither_numpy_nor_multiprocessing(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORT_RUNNER, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    after_import, codes, after_pipeline, elliptic, after_elliptic = \
+        json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == after_pipeline == []
+    assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NONEXISTENCE, EXIT_OK, EXIT_OK]
+    # the elliptic test is the first call that needs numpy
+    assert elliptic is True and after_elliptic == ["numpy"]
+
+
 # ----------------------------------------------------------------------
 # gq
 # ----------------------------------------------------------------------
@@ -491,6 +532,18 @@ def test_search_pg_spreads_writes_spread_file(tmp_path, capsys):
     assert cert_payload["seed"] == 7
 
 
+def test_search_pg_spreads_count_mode_refuses_a_spread_file(tmp_path, capsys):
+    spread = tmp_path / "spread.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "pg-spreads", "--v", "4", "--q", "2", "--mode", "count",
+              "--spread-out", str(spread)])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and not spread.exists()
+    assert captured.err.endswith("error: argument --spread-out: count mode stores "
+                                 "no spread to write\n")
+
+
 def test_search_pg_spreads_policy_budget(capsys):
     code, _, _ = run(capsys, "search", "pg-spreads", "--v", "6", "--q", "3",
                      "--mode", "first", "--max-solutions", "1")
@@ -657,6 +710,17 @@ def test_design_spread_gen_refuses_a_degree_below_one(k, capsys):
     code, out, err = run(capsys, "design", "spread-gen", "--v", "4", "--k", k, "--q", "2")
     _one_error_line(code, out, err)
     assert err == f"error: extension degree k={k} must be >= 1\n"
+
+
+def test_design_spread_gen_beyond_the_enumeration_budget_stops_at_once(tmp_path, capsys):
+    out_file = tmp_path / "spread.json"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "design", "spread-gen", "--v", "40", "--k", "2", "--q", "2",
+                         "--out", str(out_file))
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (EXIT_BUDGET, "") and not out_file.exists()
+    assert err == ("budget exceeded: 366503875925 spread blocks exceed the enumeration "
+                   "budget 10000000\n")  # (2^40 - 1) / 3 blocks
 
 
 @pytest.mark.parametrize("argv", [["spread-gen", "--v", "0", "--k", "2", "--q", "2"],

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qgeom import designs
 from qgeom.designs import (
     AdmissibilityReport,
     BlockSet,
@@ -30,6 +31,7 @@ from qgeom.designs import (
 )
 from qgeom.errors import (
     AmbientMismatchError,
+    BudgetExceededError,
     DerivedNotASpreadError,
     NotASpreadError,
     NotDivisibleError,
@@ -245,6 +247,15 @@ def test_desarguesian_spread_counts_and_design_property(v, k, q, count):
 def test_desarguesian_spread_divisibility():
     with pytest.raises(NotDivisibleError):
         desarguesian_spread(5, 2, F2)
+
+
+def test_desarguesian_spread_block_count_is_under_the_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(designs, "ENUMERATION_BUDGET", 5)
+    assert len(desarguesian_spread(4, 2, F2)) == 5  # exactly at the budget
+    monkeypatch.setattr(designs, "ENUMERATION_BUDGET", 4)
+    with pytest.raises(BudgetExceededError, match="^5 spread blocks exceed the "
+                                                  "enumeration budget 4$"):
+        desarguesian_spread(4, 2, F2)
 
 
 def test_spread_holes():

@@ -11,6 +11,7 @@ set-based Algorithm X with the same column and row rules.
 import hashlib
 import itertools
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -500,20 +501,29 @@ def test_pool_is_no_larger_than_the_root_branching(monkeypatch):
         def starmap(self, fn, args):
             return [fn(*a) for a in args]
 
-    monkeypatch.setattr(search.multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)  # read when the pool starts
     instance = gq_ovoid_instance(build_q4(3))  # each line has q + 1 = 4 points
     cert = solve_exact_cover(instance, "all", seed=0, workers=64)
     assert sizes == [4]
     assert cert == solve_exact_cover(instance, "all", seed=0)
 
 
-def test_worker_counts_agree_on_partitions():
+def test_worker_counts_agree_on_partitions(monkeypatch):
+    real_pool, sizes = multiprocessing.Pool, []
+
+    def pool(processes):  # a real pool of worker processes, recorded
+        sizes.append(processes)
+        return real_pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", pool)
     w2 = build_w(2)
     base = partition_into_spreads(w2)
+    assert sizes == []
     for workers in (2, 8):
         cert = partition_into_spreads(w2, workers=workers)
         assert cert.solutions == base.solutions
         assert cert.nonexistence_certified == base.nonexistence_certified
+    assert sizes == [2, 2, 3, 2]  # min(workers, root branching), one pool per level
 
 
 # ----------------------------------------------------------------------
