@@ -32,6 +32,7 @@ from .projspace import (
     BilinearForm,
     PointId,
     Subspace,
+    _canonical,
     all_points,
     bit_ids,
     contains,
@@ -49,7 +50,6 @@ from .projspace import (
     quotient,
     require_ambient,
     subspace_from_json,
-    subspace_from_rows,
     subspace_to_json,
     subspaces_within,
 )
@@ -237,6 +237,7 @@ def desarguesian_spread(v: int, k: int, spec: FieldSpec) -> BlockSet:
     mats = red.mul_matrices
     blocks = []
     for lead in range(m):
+        # M(0) = 0 and M(1) = I, so the rows are RREF with pivots lead*k .. lead*k+k-1
         for tail in itertools.product(range(red.order), repeat=m - lead - 1):
             coords = (0,) * lead + (1,) + tail
             rows = []
@@ -245,8 +246,8 @@ def desarguesian_spread(v: int, k: int, spec: FieldSpec) -> BlockSet:
                 for c in coords:
                     M = mats[c]
                     row.extend(M[r][j] for r in range(k))
-                rows.append(row)
-            blocks.append(subspace_from_rows(rows, v, q))
+                rows.append(tuple(row))
+            blocks.append(_canonical(v, k, q, tuple(rows)))
     return BlockSet(v=v, q=q, k=k, blocks=frozenset(blocks))
 
 
@@ -386,9 +387,9 @@ def cone_over(blocks: BlockSet) -> tuple[BlockSet, PointId]:
     v2 = blocks.v + 1
     apex_vec = (0,) * blocks.v + (1,)
     lifted = []
-    for B in blocks.blocks:
-        rows = [r + (0,) for r in B.basis] + [apex_vec]
-        lifted.append(subspace_from_rows(rows, v2, blocks.q))
+    for B in blocks.blocks:  # the apex row's pivot is the new last column
+        rows = tuple(r + (0,) for r in B.basis) + (apex_vec,)
+        lifted.append(_canonical(v2, blocks.k + 1, blocks.q, rows))
     apex = point_of_vector(apex_vec, v2, blocks.q)
     return (BlockSet(v=v2, q=blocks.q, k=blocks.k + 1, blocks=frozenset(lifted)),
             apex)

@@ -77,14 +77,6 @@ class IncidenceStructure:
     def n_lines(self) -> int:
         return len(self.line_points)
 
-    def incidence_matrix(self) -> np.ndarray:
-        """Dense point x line incidence bit matrix."""
-        import numpy as np
-        m = np.zeros((self.n_points, self.n_lines), dtype=bool)
-        for j, pts in enumerate(self.line_points):
-            m[list(pts), j] = True
-        return m
-
     @cached_property
     def line_masks(self) -> tuple[int, ...]:
         """Bit-packed point set of each line, computed once per structure."""

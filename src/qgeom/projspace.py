@@ -8,7 +8,8 @@ incidence data downstream is bit-packed over these ids.
 
 A basis is validated where it enters from outside: the public
 ``Subspace(...)`` constructor and ``subspace_from_json``.  Bases built
-here (``rref`` output, enumeration, points, the zero and full space) are
+here (``rref`` output, enumeration, points, the zero and full space) and
+in ``designs`` (Desarguesian spread blocks, ``cone_over`` lifts) are
 RREF by construction and are wrapped by ``_canonical`` without the check.
 
 A subspace's point mask (``point_mask``) is computed on first use and
@@ -350,6 +351,9 @@ def point_of_vector(vec, v: int, q: int) -> PointId:
 
 
 def point_to_subspace(P: PointId, v: int, q: int) -> Subspace:
+    """The 1-subspace of P; AmbientMismatchError if P is not a point of PG(v-1, q)."""
+    if P != point_at(P.index, v, q):
+        raise AmbientMismatchError(f"point {P.vector} is not point {P.index} of PG({v - 1},{q})")
     return _canonical(v, 1, q, (P.vector,))
 
 

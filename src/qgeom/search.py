@@ -28,7 +28,6 @@ import hashlib
 import json
 import random
 import sys
-import warnings
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -36,7 +35,7 @@ from typing import TYPE_CHECKING
 from .designs import BlockSet, block_set
 from .errors import BudgetExceededError, PayloadError, UnknownIdError
 from .gf import FieldSpec
-from .gq import IncidenceStructure, check_gq
+from .gq import IncidenceStructure
 from .projspace import (
     SCHEMA_VERSION,
     bit_ids,
@@ -362,24 +361,15 @@ def gq_ovoid_instance(structure: IncidenceStructure) -> ExactCoverInstance:
         names=tuple(f"point-{i}" for i in range(structure.n_points)))
 
 
-def _warn_if_not_gq(structure):
-    verdict = check_gq(structure)
-    if not verdict.axioms_ok:
-        warnings.warn(f"structure is not a generalized quadrangle: {verdict.reason}",
-                      stacklevel=3)
-
-
 def enumerate_gq_spreads(structure: IncidenceStructure, mode: str = "all",
                          **kwargs) -> SearchCertificate:
     """All line sets covering every point exactly once."""
-    _warn_if_not_gq(structure)
     return solve_exact_cover(gq_spread_instance(structure), mode, **kwargs)
 
 
 def enumerate_gq_ovoids(structure: IncidenceStructure, mode: str = "all",
                         **kwargs) -> SearchCertificate:
     """All point sets meeting every line exactly once."""
-    _warn_if_not_gq(structure)
     return solve_exact_cover(gq_ovoid_instance(structure), mode, **kwargs)
 
 

@@ -280,6 +280,26 @@ def test_gq_build_payload_digest_is_pinned(kind, q, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GQ_BUILD_SHA256[kind, q]
 
 
+SPREAD_GEN_SHA256 = {
+    (4, 2, 2): "5ef51f29f6eba50b1e8af434b1ad49712f941ebfbf67db1e0f306538fa4250f7",
+    (4, 2, 3): "3027287adb26339cf1c726989548abd58dfdecccc16442a7dd3958e23946dee5",
+    (4, 2, 4): "561c84d9b91535c2b9294c416180bef09f8f73e2a642d29f02912049ecdd31a8",
+    (4, 2, 5): "c0817718d9a3ff4696769905f015eb2b538d25de9dd7f253a528c61e8b77068b",
+    (6, 2, 2): "e0f519ab38e3393ad629664b92d75b6462c568062e062917cc1324b69e29b885",
+    (6, 3, 2): "09afac417642ffbaa45452939d4c519a302219f6683402499cc3f2d2cb26a4eb",
+    (6, 2, 3): "3f634d4a7a896b28c65a9bfa5e6b4d92d05b76160cae91cf34bc02f458b5ef98",
+    (12, 6, 2): "f02ff3d75b00c926bfeca203a13db816e52a40d757f1b6b336adf606c4a072f9",
+}
+
+
+@pytest.mark.parametrize("v,k,q", sorted(SPREAD_GEN_SHA256))
+def test_design_spread_gen_payload_digest_is_pinned(v, k, q, tmp_path, capsys):
+    out = tmp_path / "spread.json"
+    assert run(capsys, "design", "spread-gen", "--v", str(v), "--k", str(k), "--q", str(q),
+               "--out", str(out))[0] == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SPREAD_GEN_SHA256[v, k, q]
+
+
 GQ_ISO_SHA256 = {
     2: "8033a52b13ab30b917389ba2da859efa31c87c1758034ddd9e2553c39175169f",
     3: "d682ed0f95d7cdb6ca577eec0a6eaf25d49c57de3b560be2a1b6515cd025dc46",

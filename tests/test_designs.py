@@ -42,6 +42,8 @@ from qgeom.errors import (
 )
 from qgeom.gf import field_new
 from qgeom.projspace import (
+    PointId,
+    Subspace,
     all_points,
     contains,
     dot_form,
@@ -51,6 +53,7 @@ from qgeom.projspace import (
     meet,
     point_to_subspace,
     q_number,
+    rref,
     subspace_from_rows,
     subspace_points,
 )
@@ -244,6 +247,27 @@ def test_desarguesian_spread_counts_and_design_property(v, k, q, count):
     assert is_design(blocks, DesignParams(1, v, k, 1, q)).ok
 
 
+# lattice's Desarguesian list in bench/workloads.py, plus one k = 6 tower
+_SPREAD_PARAMS = [(4, 2, 2), (4, 2, 3), (4, 2, 4), (4, 2, 5), (6, 2, 2), (6, 3, 2),
+                  (6, 2, 3), (12, 6, 2)]
+
+
+def _assert_canonical_blocks(blocks):
+    for B in blocks.blocks:
+        assert B.basis == rref(B.basis, B.q)
+        assert Subspace(B.v, B.k, B.q, B.basis) == B  # the validating constructor
+
+
+@pytest.mark.parametrize("v,k,q", _SPREAD_PARAMS)
+def test_desarguesian_spread_blocks_are_canonical(v, k, q):
+    _assert_canonical_blocks(desarguesian_spread(v, k, field_new(q)))
+
+
+@pytest.mark.parametrize("v,k,q", [p for p in _SPREAD_PARAMS if p[2] <= 4])
+def test_cone_over_blocks_are_canonical(v, k, q):
+    _assert_canonical_blocks(cone_over(desarguesian_spread(v, k, field_new(q)))[0])
+
+
 def test_desarguesian_spread_divisibility():
     with pytest.raises(NotDivisibleError):
         desarguesian_spread(5, 2, F2)
@@ -393,6 +417,24 @@ def test_alpha_point_error_paths():
                                 for B in partial.blocks))
     with pytest.raises(DerivedNotASpreadError):
         is_alpha_point(partial, uncovered)
+
+
+def test_point_of_another_projective_space_is_refused():
+    spread = desarguesian_spread(4, 2, F2)
+    foreign = [next(P for P in all_points(5, F2) if P.vector == (0, 0, 1, 0, 0)),
+               all_points(3, F2)[-1],
+               all_points(4, F3)[7]]
+    assert foreign[2].vector == (0, 1, 1, 0)
+    for P in foreign:
+        assert P.index < q_number(4, 2)  # in range, so only the vector gives it away
+        with pytest.raises(AmbientMismatchError):
+            point_to_subspace(P, 4, 2)
+        with pytest.raises(AmbientMismatchError):
+            derived_design(spread, P)
+        with pytest.raises(AmbientMismatchError):
+            is_alpha_point(spread, P)
+    with pytest.raises(OutOfRangeError):
+        derived_design(spread, PointId(vector=(0, 0, 0, 1), index=15))
 
 
 # ----------------------------------------------------------------------

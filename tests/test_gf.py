@@ -213,12 +213,14 @@ def _ext_mul_oracle(a, b, red):
     return sum(ci * q ** i for i, ci in enumerate(prod[:k]))
 
 
-@pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (2, 3), (2, 6), (4, 2)])
+@pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (2, 3), (2, 6), (4, 2), (5, 2), (3, 4)])
 def test_reduction_homomorphism(q, k):
     red = field_reduction(q, k)
     ops = arith(red.base)
     mats = red.mul_matrices
     order = red.order
+    assert mats[0] == tuple((0,) * k for _ in range(k))
+    assert mats[1] == tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
     def matmul(a, b):
         n = len(a)

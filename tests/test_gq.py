@@ -4,7 +4,6 @@ checking on hand-verifiable toys, duality, and isomorphism search."""
 from dataclasses import replace
 from functools import lru_cache
 
-import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -513,14 +512,6 @@ def test_incidence_invariants():
         incidence_from_lines(4, [(0, 1), (2, 3), (0, 1, 2)][:2] + [(2, 3)])
     with pytest.raises(UnknownIdError):
         incidence_from_lines(2, [(0, 5)])
-
-
-def test_incidence_matrix():
-    grid = grid3x3()
-    m = grid.incidence_matrix()
-    assert m.shape == (9, 6)
-    assert m.sum() == 18
-    assert np.array_equal(m.sum(axis=0), np.full(6, 3))
 
 
 def test_structure_json_round_trip_with_labels():

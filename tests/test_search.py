@@ -12,6 +12,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -316,12 +317,15 @@ def test_grid_spreads_ovoids_partition():
     assert m[0, 1] == 0  # rows and columns are disjoint spreads
 
 
-def test_non_gq_structure_warns():
+def test_non_gq_structure_is_searched_without_warning():
+    # PG(3,2) is not a GQ; its line spreads are still exact covers of its points
     lines = [tuple(p.index for p in subspace_points(L))
              for L in enumerate_subspaces(4, 2, F2)]
     pg = incidence_from_lines(15, lines)
-    with pytest.warns(UserWarning):
-        enumerate_gq_spreads(pg, "first")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = enumerate_gq_spreads(pg)
+    assert cert.solution_count == enumerate_pg_line_spreads(4, F2).solution_count == 56
 
 
 # ----------------------------------------------------------------------

@@ -185,7 +185,6 @@ _STRUCTURE_COMMANDS = [(("gq", "check", "-"), True), (("gq", "dual", "-"), False
                        (("search", "ovoids", "-", "--limit", "1e4"), False)]
 
 
-@pytest.mark.filterwarnings("ignore:structure is not a generalized quadrangle")
 @pytest.mark.parametrize("argv,verdict", _STRUCTURE_COMMANDS)
 @pytest.mark.parametrize("base", [0, 1])
 @settings(max_examples=60, deadline=None)
