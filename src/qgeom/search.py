@@ -1,10 +1,12 @@
 """Certified exhaustive search: exact cover and the partition questions.
 
-The solver is Knuth's Algorithm X on bitsets.  Each node carries the
-mask of options still compatible with the partial cover and the column
-sizes packed into one int, both updated incrementally and passed down
-by value.  Column choice is minimum-remaining-options with ties broken
-by lowest element id; rows are visited in the instance's option order.
+The solver is Knuth's Algorithm X on bitsets, run as one loop over an
+explicit stack of frames, so the depth of a tree is not bounded by the
+recursion limit.  Each node holds the mask of options still compatible
+with the partial cover and the column sizes packed into one int, both
+updated incrementally.  Column choice is minimum-remaining-options with
+ties broken by lowest element id; rows are visited in the instance's
+option order.
 Given the same option order the search tree, the discovery order of
 solutions and the node count are all reproducible, which is what the
 certificates record: a completed run with zero solutions is a certified
@@ -136,8 +138,9 @@ class _Run:
     node's state is the mask of still compatible options plus the column
     sizes packed into one int, W bits per element: an uncovered column
     holds its count of active options, below 2**(W-1), and a covered
-    one exactly 2**(W-1).  Children get their state by value, so there
-    is no undo pass.
+    one exactly 2**(W-1).  ``search`` walks the tree in one loop: each
+    descent pushes the parent's (active, sizes, untried rows) frame, so
+    there is no undo pass and no recursion, whatever the depth.
     """
 
     def __init__(self, instance, option_order, store, max_solutions, node_limit):
@@ -187,20 +190,6 @@ class _Run:
         least = min(fields)
         return fields.index(least), least
 
-    def select(self, active, sizes, p):
-        """Child state after option p joins the partial cover."""
-        gone = active & self.conflict[p]
-        if gone == active:  # no option left: uncovered columns drop to 0
-            return 0, (sizes + self.tag[p]) & self.done
-        sizes += self.tag[p]
-        vec = self.vec
-        rest = gone
-        while rest:  # bit_ids inlined here and in search: its generator costs ~15 %
-            low = rest & -rest
-            sizes -= vec[low.bit_length() - 1]
-            rest ^= low
-        return active ^ gone, sizes
-
     def emit(self):
         self.count += 1
         if self.store:
@@ -208,24 +197,51 @@ class _Run:
         if self.max_solutions is not None and self.count >= self.max_solutions:
             raise _Stop
 
-    def search(self, active, sizes):
-        if sizes == self.done:
-            self.emit()
-            return
-        col, least = self.column(sizes)
-        if not least:
-            return
-        rows = active & self.cols[col]
-        while rows:
-            low = rows & -rows
-            rows ^= low
-            p = low.bit_length() - 1
-            self.nodes += 1
-            if self.nodes > self.node_limit:
-                raise _Budget
-            self.stack.append(p)
-            self.search(*self.select(active, sizes, p))
-            self.stack.pop()
+    def search(self, rows=None):
+        """Try the root candidates ``rows`` (default: the root column's
+        options) and walk every subtree below them, depth first."""
+        cols, conflict, vec, tag, done = self.cols, self.conflict, self.vec, self.tag, self.done
+        step = [t - v for t, v in zip(tag, vec)]  # option p is always among those it removes
+        column, emit, stack, frames = self.column, self.emit, self.stack, []
+        active, sizes, nodes, limit = self.active, self.sizes, self.nodes, self.node_limit
+        if rows is None:
+            col, least = column(sizes)
+            rows = active & cols[col] if least else 0
+        try:
+            while True:
+                if not rows:
+                    if not frames:
+                        return
+                    active, sizes, rows = frames.pop()
+                    stack.pop()
+                    continue
+                low = rows & -rows
+                rows ^= low
+                p = low.bit_length() - 1
+                nodes += 1
+                if nodes > limit:
+                    raise _Budget
+                gone = active & conflict[p]
+                if gone == active:  # no option left: a cover or a dead end, settled here
+                    if (sizes + tag[p]) & done == done:
+                        stack.append(p)
+                        emit()
+                        stack.pop()
+                    continue
+                child = sizes + step[p]
+                rest = gone ^ low
+                while rest:  # bit_ids inlined: its generator costs ~15 %
+                    bit = rest & -rest
+                    child -= vec[bit.bit_length() - 1]
+                    rest ^= bit
+                col, least = column(child)
+                if least:
+                    stack.append(p)
+                    frames.append((active, sizes, rows))
+                    active ^= gone
+                    sizes, rows = child, active & cols[col]
+        finally:
+            self.nodes = nodes
 
 
 def _run_subtree(instance, option_order, store, max_solutions, node_limit,
@@ -237,14 +253,7 @@ def _run_subtree(instance, option_order, store, max_solutions, node_limit,
     root try counts as one node, matching the whole-tree count."""
     run = _Run(instance, option_order, store, max_solutions, node_limit)
     try:
-        if forced is None:
-            run.search(run.active, run.sizes)
-        else:
-            run.nodes = 1
-            if run.nodes > run.node_limit:
-                raise _Budget
-            run.stack.append(forced)
-            run.search(*run.select(run.active, run.sizes, forced))
+        run.search(None if forced is None else 1 << forced)
         return run.solutions, run.count, run.nodes, True, False
     except _Stop:
         return run.solutions, run.count, run.nodes, False, False

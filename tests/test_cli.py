@@ -505,6 +505,17 @@ def test_search_exit_codes(q4_2_file, tmp_path, capsys):
     assert payload["completed"] is False
 
 
+@pytest.mark.parametrize("what", ["spreads", "ovoids"])
+def test_search_deeper_than_the_recursion_limit(what, tmp_path, capsys):
+    f, cert = tmp_path / "deep.json", tmp_path / "cert.json"
+    f.write_text(json.dumps({"schema_version": 1, "points": 1200, "lines": 1200,
+                             "incidence": [[i] for i in range(1200)]}))
+    code, _, err = run(capsys, "search", what, str(f), "--out", str(cert))
+    assert code == EXIT_OK and err == "mode=all solutions=1 nodes=1200 completed\n"
+    payload = json.loads(cert.read_text())
+    assert payload["solutions"] == [list(range(1200))] and payload["nodes"] == 1200
+
+
 @pytest.mark.parametrize("what,level", [("partition-ovoids", "ovoid"),
                                         ("partition-spreads", "spread")])
 def test_partition_first_level_abort_emits_no_certificate(what, level, q4_2_file, tmp_path,

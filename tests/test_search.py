@@ -29,6 +29,7 @@ from qgeom.search import (
     ExactCoverInstance,
     SearchCertificate,
     _Run,
+    _run_subtree,
     certificate_from_json,
     certificate_to_json,
     enumerate_gq_ovoids,
@@ -202,6 +203,48 @@ def test_pg_spread_trees_are_pinned():
         "67/10/d2ec5c3a54cfb21b"
 
 
+@pytest.fixture(scope="module")
+def pg33_seeded():
+    cert = solve_exact_cover(pg_line_spread_instance(4, F3), "all", seed=0)
+    assert _pin(cert) == "47866/8424/5f7dccb0a2488458"
+    return cert
+
+
+def test_pg33_budget_abort_keeps_a_prefix_of_the_solutions(pg33_seeded):
+    with pytest.raises(BudgetExceededError) as err:
+        solve_exact_cover(pg_line_spread_instance(4, F3), "all", seed=0, node_limit=1000)
+    cert = err.value.certificate
+    assert cert.nodes_visited == 1001 and not cert.completed
+    assert 0 < cert.solution_count == len(cert.solutions) < 8424
+    assert cert.solutions == pg33_seeded.solutions[:cert.solution_count]
+
+
+def test_pg33_solution_cap_stops_after_the_first_solutions(pg33_seeded):
+    cert = solve_exact_cover(pg_line_spread_instance(4, F3), "all", seed=0,
+                             max_solutions=100)
+    assert cert.solutions == pg33_seeded.solutions[:100]
+    assert cert.solution_count == 100 and not cert.completed
+
+
+def test_pg33_count_mode_walks_the_same_tree():
+    cert = solve_exact_cover(pg_line_spread_instance(4, F3), "count", seed=0)
+    assert (cert.nodes_visited, cert.solution_count, cert.solutions) == (47866, 8424, ())
+    assert cert.completed
+
+
+def test_pg33_root_split_across_workers_is_pinned(inline_pool):
+    cert = solve_exact_cover(pg_line_spread_instance(4, F3), "all", seed=0, workers=4)
+    assert _pin(cert) == "47866/8424/5f7dccb0a2488458"
+    assert inline_pool == [4]
+
+
+def test_a_tree_deeper_than_the_recursion_limit():
+    instance = exact_cover_instance(5000, [[i] for i in range(5000)])
+    cert = solve_exact_cover(instance, "all")
+    assert cert.solutions == (tuple(range(5000)),) and cert.nodes_visited == 5000
+    assert cert.completed and cert.solution_count == 1
+
+
 class _Halt(Exception):
     pass
 
@@ -263,28 +306,24 @@ def test_solver_matches_set_based_algorithm_x(run):
     assert budget_hit == (node_limit is not None and nodes > node_limit)
 
 
-def _select_by_subtraction(run, active, sizes, p):
-    """_Run.select without its shortcut for a child with no option left."""
-    gone = active & run.conflict[p]
-    sizes += run.tag[p]
-    for x in bit_ids(gone):
-        sizes -= run.vec[x]
-    return active ^ gone, sizes
-
-
 @pytest.mark.parametrize("q", [2, 4])
-def test_dead_end_shortcut_matches_the_subtraction(q):
+def test_partition_root_children_without_options_match_algorithm_x(q):
     # for even q any two ovoids of Q(4,q) meet, so every root child of the
-    # partition search has no active option left
+    # partition search has no active option left and is settled in place
     q4 = build_q4(q)
     ovoids = solve_exact_cover(gq_ovoid_instance(q4), "all").solutions
     instance = exact_cover_instance(q4.n_points, ovoids)
-    run = _Run(instance, tuple(range(len(ovoids))), True, None, None)
-    for p in range(len(ovoids)):
-        assert run.active & run.conflict[p] == run.active
-        child = run.select(run.active, run.sizes, p)
-        assert child[0] == 0
-        assert child == _select_by_subtraction(run, run.active, run.sizes, p)
+    order = tuple(range(len(ovoids)))
+    run = _Run(instance, order, True, None, None)
+    assert all(run.active & run.conflict[p] == run.active for p in order)
+    cert = solve_exact_cover(instance, "all")
+    found, nodes, _ = _algorithm_x(instance, order)
+    assert cert.nonexistence_certified and found == [] and cert.nodes_visited == nodes
+    col, _ = run.column(run.sizes)
+    subtrees = [_run_subtree(instance, order, True, None, None, p)
+                for p in bit_ids(run.cols[col])]
+    assert sum(sub[2] for sub in subtrees) == cert.nodes_visited
+    assert all(sub[:2] == ([], 0) and sub[3:] == (True, False) for sub in subtrees)
 
 
 def test_wide_columns_use_sixteen_bit_sizes():
@@ -489,10 +528,13 @@ def test_two_workers_match_sequential_on_q4_3_ovoids():
     assert cert == base and _pin(cert) == "280/36/16aa3ddd657c1334"
 
 
-def test_pool_is_no_larger_than_the_root_branching(monkeypatch):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace multiprocessing.Pool by a stand-in that records its size and
+    runs the tasks in this process; returns the recorded sizes."""
     sizes = []
 
-    class Pool:  # records its size and runs the tasks in this process
+    class Pool:
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -506,9 +548,13 @@ def test_pool_is_no_larger_than_the_root_branching(monkeypatch):
             return [fn(*a) for a in args]
 
     monkeypatch.setattr(multiprocessing, "Pool", Pool)  # read when the pool starts
+    return sizes
+
+
+def test_pool_is_no_larger_than_the_root_branching(inline_pool):
     instance = gq_ovoid_instance(build_q4(3))  # each line has q + 1 = 4 points
     cert = solve_exact_cover(instance, "all", seed=0, workers=64)
-    assert sizes == [4]
+    assert inline_pool == [4]
     assert cert == solve_exact_cover(instance, "all", seed=0)
 
 
