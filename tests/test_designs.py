@@ -2,6 +2,7 @@
 design verification, spreads, and the focal-point predicates, with the
 field-reduction cone model as a fully checkable micro-instance."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from qgeom.designs import (
     AdmissibilityReport,
     BlockSet,
     DesignParams,
+    GeometricReport,
+    SolidClassification,
     admissible,
     beta_flat_focus,
     block_set,
@@ -46,17 +49,22 @@ from qgeom.projspace import (
     Subspace,
     all_points,
     contains,
+    disjoint_union,
     dot_form,
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
+    join,
     meet,
+    point_mask,
     point_to_subspace,
     q_number,
     rref,
     subspace_from_rows,
     subspace_points,
+    subspaces_within,
 )
+from qgeom.search import enumerate_pg_line_spreads, pg_spread_blocks
 
 F2 = field_new(2)
 F3 = field_new(3)
@@ -328,10 +336,36 @@ def test_spread_holes_overlap_witness_is_pinned(case, witness):
     assert (err.value.witness.vector, err.value.witness.index) == witness
 
 
-@pytest.mark.parametrize("v,k,q", [(4, 2, 2), (6, 2, 2), (4, 2, 3), (6, 3, 2)])
+def _geometric_reference(blocks):
+    """The all-pairs scan: every join of two blocks, in Subspace order."""
+    DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)
+    field_new(blocks.q)
+    block_list = blocks.sorted_blocks()
+    block_masks = [point_mask(B) for B in block_list]
+    if disjoint_union(block_masks) != ((1 << q_number(blocks.v, blocks.q)) - 1, 0):
+        raise NotASpreadError("block set is not a spread")
+    target = blocks.q ** blocks.k + 1
+    for J in sorted({join(B, Bp) for B, Bp in itertools.combinations(block_list, 2)}):
+        jm = point_mask(J)
+        c = sum(1 for m in block_masks if not m & ~jm)
+        if c != target:
+            return GeometricReport(ok=False, witness=J, count=c)
+    return GeometricReport(ok=True)
+
+
+_GEOMETRIC_PARAMS = [(4, 2, 2), (6, 2, 2), (4, 2, 3), (6, 3, 2), (4, 2, 4), (4, 2, 5),
+                     (6, 2, 3), (8, 2, 2), (6, 3, 3), (8, 4, 2)]
+
+
+def _sampled_pg52_spreads(seed, count=10):
+    cert = enumerate_pg_line_spreads(6, F2, "first", max_solutions=count, seed=seed)
+    return [pg_spread_blocks(6, F2, sol) for sol in cert.solutions]
+
+
+@pytest.mark.parametrize("v,k,q", _GEOMETRIC_PARAMS)
 def test_desarguesian_spreads_are_geometric(v, k, q):
-    rep = is_geometric_spread(desarguesian_spread(v, k, field_new(q)))
-    assert rep.ok and rep.witness is None
+    spread = desarguesian_spread(v, k, field_new(q))
+    assert is_geometric_spread(spread) == _geometric_reference(spread) == GeometricReport(ok=True)
 
 
 def test_geometric_check_requires_a_spread():
@@ -383,6 +417,74 @@ def test_nongeometric_witness_from_sampled_spread():
     bad = [r for r in reports if not r.ok]
     assert bad, "sampling found only geometric spreads"
     assert all(r.witness.k == 4 and r.count not in (0, 1, 5) for r in bad)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_geometric_walk_agrees_with_the_all_pairs_scan_on_sampled_spreads(seed):
+    spreads = _sampled_pg52_spreads(seed)
+    assert len(spreads) == 10
+    for spread in spreads:
+        assert is_geometric_spread(spread) == _geometric_reference(spread)
+
+
+def test_geometric_walk_agrees_with_the_all_pairs_scan_on_derived_cone_designs(
+        switched_spread):
+    spreads = [desarguesian_spread(4, 2, field_new(q)) for q in (2, 3, 4)]
+    spreads += [desarguesian_spread(6, 2, F2), switched_spread] + _sampled_pg52_spreads(7, 3)
+    verdicts = []
+    for spread in spreads:
+        lifted, apex = cone_over(spread)
+        der = derived_design(lifted, apex)
+        rep = is_geometric_spread(der)
+        assert rep == _geometric_reference(der)
+        assert is_alpha_point(lifted, apex) is rep.ok
+        verdicts.append(rep.ok)
+    assert verdicts[:4] == [True] * 4 and not all(verdicts[4:])
+
+
+def test_switched_spread_witness_is_pinned(switched_spread):
+    rep = is_geometric_spread(switched_spread)
+    assert rep == _geometric_reference(switched_spread)
+    assert not rep.ok and rep.count == 2
+    assert ["".join(map(str, row)) for row in rep.witness.basis] == [
+        "100000", "010000", "001001", "000110"]
+
+
+def _distinct_pair_joins(blocks):
+    return len({join(B, Bp) for B, Bp in itertools.combinations(blocks.sorted_blocks(), 2)})
+
+
+def _count_joins(monkeypatch):
+    calls = []
+    real = designs.join
+
+    def counting_join(U, W):
+        calls.append(None)
+        return real(U, W)
+
+    monkeypatch.setattr(designs, "join", counting_join)
+    return calls
+
+
+@pytest.mark.parametrize("v,k,q,joins", [(4, 2, 5, 1), (6, 2, 2, 21), (6, 2, 3, 91),
+                                         (8, 2, 2, 357)])
+def test_geometric_walk_joins_each_distinct_2k_space_once(v, k, q, joins, monkeypatch):
+    spread = desarguesian_spread(v, k, field_new(q))
+    assert _distinct_pair_joins(spread) == joins  # out of len(spread) choose 2 pairs
+    calls = _count_joins(monkeypatch)
+    assert is_geometric_spread(spread).ok
+    assert len(calls) == joins
+
+
+def test_nongeometric_spread_costs_the_walk_plus_the_all_pairs_scan(monkeypatch,
+                                                                    switched_spread):
+    sampled = _sampled_pg52_spreads(1, 1)[0]
+    calls = _count_joins(monkeypatch)
+    assert not is_geometric_spread(sampled).ok
+    assert len(calls) == 1 + 210  # the first walk join is already bad; 21 lines, 210 pairs
+    calls.clear()
+    assert not is_geometric_spread(switched_spread).ok
+    assert len(calls) == 7 + 210  # six full joins, then the bad one
 
 
 # ----------------------------------------------------------------------
@@ -514,6 +616,76 @@ def test_classify_solids_rejects_two_blocks_in_a_solid():
     with pytest.raises(NotSteinerLikeError) as err:
         classify_solids(pair, full_space(4, 2))
     assert err.value.witness == full_space(4, 2)
+
+
+def _classify_reference(blocks, within):
+    """The per-pair classification: one ``contains`` per solid and block."""
+    block_list = blocks.sorted_blocks()
+    rich, poor = [], []
+    for S in subspaces_within(within, 4):
+        c = sum(1 for B in block_list if contains(S, B))
+        if c >= 2:
+            raise NotSteinerLikeError(f"solid contains {c} blocks", witness=S)
+        (rich if c == 1 else poor).append(S)
+    return SolidClassification(rich=frozenset(rich), poor=frozenset(poor))
+
+
+def _classification_outcome(classify, blocks, within):
+    try:
+        return classify(blocks, within)
+    except NotSteinerLikeError as err:
+        return str(err), err.witness
+
+
+_HYPERPLANE_62 = subspace_from_rows([tuple(int(i == j) for j in range(6)) for i in range(5)],
+                                    6, 2)
+
+
+def _classification_case(case):
+    if case.startswith("cone"):
+        q = int(case[-1])
+        return _beta_flat_model(q)[0], full_space(5, q)
+    if case == "single solid":
+        blocks, _ = _beta_flat_model(2)
+        B = blocks.sorted_blocks()[0]
+        return blocks, next(S for S in enumerate_subspaces(5, 4, F2) if contains(S, B))
+    if case == "5-space, plane spread":
+        return desarguesian_spread(6, 3, F2), _HYPERPLANE_62
+    if case == "5-space, two planes in a solid":
+        return block_set(enumerate_subspaces(6, 3, F2)[100:130]), _HYPERPLANE_62
+    return block_set(enumerate_subspaces(4, 3, F2)[:2]), full_space(4, 2)
+
+
+@pytest.mark.parametrize("case,sizes", [
+    ("cone q=2", (15, 16)), ("cone q=3", (40, 81)), ("cone q=4", (85, 256)),
+    ("single solid", (1, 0)), ("5-space, plane spread", (3, 28)),
+    ("5-space, two planes in a solid", None), ("two planes of PG(3,2)", None),
+])
+def test_classify_solids_agrees_with_the_per_pair_reference(case, sizes):
+    blocks, within = _classification_case(case)
+    expected = _classification_outcome(_classify_reference, blocks, within)
+    assert _classification_outcome(classify_solids, blocks, within) == expected
+    if sizes is None:  # NotSteinerLikeError: message and witness
+        assert isinstance(expected, tuple)
+    else:
+        assert (len(expected.rich), len(expected.poor)) == sizes
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_classify_solids_makes_no_contains_call(q, monkeypatch):
+    def no_contains(outer, inner):
+        raise AssertionError("classify_solids called contains")
+
+    blocks, within = _classification_case(f"cone q={q}")
+    monkeypatch.setattr(designs, "contains", no_contains)
+    assert len(classify_solids(blocks, within).rich) == q**3 + q**2 + q + 1
+
+
+@pytest.mark.parametrize("ambient", [(6, 2), (5, 3)])
+def test_classify_solids_rejects_blocks_of_another_ambient(ambient):
+    blocks, _ = _beta_flat_model(2)
+    with pytest.raises(AmbientMismatchError):
+        classify_solids(blocks, full_space(*ambient))
 
 
 # ----------------------------------------------------------------------
