@@ -22,7 +22,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -41,15 +40,9 @@ EXIT_USAGE = 64
 
 class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
-        """The parser is built once per process, so an omitted --workers
-        reads QGEOM_WORKERS here, on every parse.  Flag combinations that
-        no run could honour are refused here too, before any work."""
+        """Flag combinations that no run could honour are refused here,
+        before any work."""
         namespace, extras = super().parse_known_args(args, namespace)
-        if getattr(namespace, "workers", 1) is None:
-            try:
-                namespace.workers = _int_at_least(1)(os.environ.get("QGEOM_WORKERS", "1"))
-            except argparse.ArgumentTypeError as exc:
-                self.error(f"argument --workers: {exc}")
         if getattr(namespace, "spread_out", None) and namespace.mode == "count":
             self.error("argument --spread-out: count mode stores no spread to write")
         return namespace, extras
@@ -389,11 +382,10 @@ def cmd_design_alpha(io, args):
 # wiring
 # ----------------------------------------------------------------------
 
-def _add_common(p, out=True):
+def _add_common(p):
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable run report to stdout")
-    if out:
-        p.add_argument("--out", help="write the JSON payload to this file ('-' = stdout)")
+    p.add_argument("--out", help="write the JSON payload to this file ('-' = stdout)")
 
 
 def _add_search_flags(p):
@@ -403,8 +395,8 @@ def _add_search_flags(p):
     p.add_argument("--max-solutions", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="option-order shuffle seed (default 0)")
-    p.add_argument("--workers", type=_int_at_least(1), default=None,
-                   help="worker processes, at least 1 (default QGEOM_WORKERS or 1)")
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
+                   help="worker processes, at least 1 (default 1)")
 
 
 @functools.cache

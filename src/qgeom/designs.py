@@ -455,4 +455,7 @@ def blockset_from_json(obj: dict) -> BlockSet:
     if any(type(obj[f]) is not int for f in "vqk") or not isinstance(obj["blocks"], list):
         raise PayloadError("a block set needs integer v, q and k and a list of blocks")
     blocks = frozenset(subspace_from_json(b) for b in obj["blocks"])
+    if len(blocks) != len(obj["blocks"]):
+        raise PayloadError(f"block set lists {len(obj['blocks'])} blocks, "
+                           f"{len(blocks)} of them distinct")
     return BlockSet(v=obj["v"], q=obj["q"], k=obj["k"], blocks=blocks)

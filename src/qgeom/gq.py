@@ -160,8 +160,7 @@ def build_q4(q: int) -> IncidenceStructure:
     ops = ops_for_order(q)
     upper = ((0, 1, 0, 0, 0), (0,) * 5, (0, 0, 0, 1, 0), (0,) * 5, (0, 0, 0, 0, 1))
     polar = tuple(tuple(map(ops.add, row, col)) for row, col in zip(upper, zip(*upper)))
-    return _polar_quadrangle(5, q, BilinearForm(gram=upper),
-                             BilinearForm(gram=polar, kind="symmetric"))
+    return _polar_quadrangle(5, q, BilinearForm(gram=upper), BilinearForm(gram=polar))
 
 
 def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
@@ -503,6 +502,8 @@ def structure_from_json(obj: dict) -> IncidenceStructure:
         for j in ls:
             if type(j) is not int or not 0 <= j < n_lines:
                 raise UnknownIdError(f"point {p} lies on line id {j!r} outside the structure")
+            if per_line[j] and per_line[j][-1] == p:
+                raise PayloadError(f"point {p} lists line id {j} twice")
             per_line[j].append(p)
     labels = json_object(obj.get("labels") or {}, "labels")
     decoded = {}

@@ -168,10 +168,6 @@ def subspace_from_rows(rows, v: int, q: int) -> Subspace:
     return _canonical(v, len(basis), q, basis)
 
 
-def zero_subspace(v: int, q: int) -> Subspace:
-    return _canonical(v, 0, q, ())
-
-
 def full_space(v: int, q: int) -> Subspace:
     ident = tuple(tuple(1 if i == j else 0 for j in range(v)) for i in range(v))
     return _canonical(v, v, q, ident)
@@ -440,20 +436,17 @@ class BilinearForm:
     """A bilinear form on F_q^v given by its Gram matrix."""
 
     gram: tuple[tuple[int, ...], ...]
-    kind: str = "generic"
 
     def __post_init__(self):
         v = len(self.gram)
         if any(len(r) != v for r in self.gram):
             raise ValueError("Gram matrix must be square")
-        if self.kind not in ("symmetric", "alternating", "generic"):
-            raise ValueError(f"unknown form kind {self.kind!r}")
 
 
 def dot_form(v: int, q: int) -> BilinearForm:
     """The standard symmetric form with identity Gram matrix."""
     gram = tuple(tuple(1 if i == j else 0 for j in range(v)) for i in range(v))
-    return BilinearForm(gram=gram, kind="symmetric")
+    return BilinearForm(gram=gram)
 
 
 def symplectic_form(q: int) -> BilinearForm:
@@ -461,7 +454,7 @@ def symplectic_form(q: int) -> BilinearForm:
     ops = ops_for_order(q)
     n1 = ops.neg(1)
     gram = ((0, 1, 0, 0), (n1, 0, 0, 0), (0, 0, 0, 1), (0, 0, n1, 0))
-    return BilinearForm(gram=gram, kind="alternating")
+    return BilinearForm(gram=gram)
 
 
 def form_value(form: BilinearForm, x, y, q: int) -> int:

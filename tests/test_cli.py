@@ -1,6 +1,7 @@
 """CLI surface tests: exit-code contract, JSON payloads, piping via '-',
 and golden human renderings."""
 
+import ast
 import hashlib
 import io
 import json
@@ -194,6 +195,20 @@ def test_cli_pipeline_loads_neither_numpy_nor_multiprocessing(tmp_path):
     assert elliptic is True and after_elliptic == ["numpy"]
 
 
+def test_no_module_reads_the_process_environment():
+    """argv alone decides a payload, so nothing under qgeom/ may read
+    os.environ, os.getenv or their bytes twins."""
+    readers = {"environ", "environb", "getenv", "getenvb"}
+    found = []
+    for path in sorted((REPO / "src" / "qgeom").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr in readers
+                    or isinstance(node, ast.ImportFrom)
+                    and any(alias.name in readers for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # ----------------------------------------------------------------------
 # gq
 # ----------------------------------------------------------------------
@@ -333,6 +348,15 @@ def test_gq_check_rejects_unknown_line_ids(line_id, tmp_path, capsys):
 def _one_error_line(code, out, err):
     assert code == EXIT_ERROR and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def test_gq_check_refuses_a_line_id_listed_twice(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"schema_version": 1, "points": 2, "lines": 2,
+                             "incidence": [[0, 0], [1]]}))
+    code, out, err = run(capsys, "gq", "check", str(f))
+    _one_error_line(code, out, err)
+    assert err == "error: point 0 lists line id 0 twice\n"
 
 
 @pytest.mark.parametrize("argv", [("gq", "check"), ("gq", "dual"), ("search", "spreads")])
@@ -532,7 +556,7 @@ def test_partition_first_level_abort_emits_no_certificate(what, level, q4_2_file
                                         ("--limit", "1.5"), ("--limit", "nan"),
                                         ("--max-solutions", "0"), ("--max-solutions", "-2"),
                                         ("--workers", "0"), ("--workers", "-3"),
-                                        ("--workers", "2.5")])
+                                        ("--workers", "2.5"), ("--workers", "two")])
 def test_search_budget_flags_reject_bad_values(flag, value, q4_2_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "ovoids", q4_2_file, flag, value])
@@ -582,26 +606,38 @@ def test_search_pg_spreads_policy_budget(capsys):
 
 
 def test_workers_env_fallback(q4_2_file, tmp_path, capsys, monkeypatch):
+    """An omitted --workers falls back to the parser default of 1,
+    whatever QGEOM_WORKERS holds."""
     monkeypatch.setenv("QGEOM_WORKERS", "2")
+    assert build_parser().parse_args(["search", "ovoids", q4_2_file]).workers == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "pg-spreads", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "at least 1 (default 1)" in " ".join(capsys.readouterr().out.split())
     cert = tmp_path / "cert.json"
     code, _, _ = run(capsys, "search", "ovoids", q4_2_file, "--out", str(cert))
     assert code == EXIT_OK
     assert json.loads(cert.read_text())["solution_count"] == 6
 
 
-def test_workers_env_value_is_parsed_like_the_flag(q4_2_file, capsys, monkeypatch):
-    argv = ["search", "ovoids", q4_2_file]
+PG33_LIMIT_1000_SHA256 = "73abda584ea3bd4597b6b81b93c6d91e3f6ed9bb03d7541d6d11fc9f585559a5"
+
+
+def test_workers_env_is_ignored(tmp_path, capsys, monkeypatch):
+    """argv alone decides the payload: with --workers > 1 --limit would
+    apply to each root branch, so no environment value may raise it."""
+    argv = ["search", "pg-spreads", "--v", "4", "--q", "3", "--limit", "1000", "--out"]
     monkeypatch.delenv("QGEOM_WORKERS", raising=False)
-    assert build_parser().parse_args(argv).workers == 1
-    monkeypatch.setenv("QGEOM_WORKERS", "3")
-    assert build_parser().parse_args(argv).workers == 3
-    assert build_parser().parse_args(argv + ["--workers", "2"]).workers == 2
-    for value in ("0", "-3", "two"):
+    plain = tmp_path / "plain.json"
+    assert run(capsys, *argv, str(plain))[0] == EXIT_BUDGET
+    payload = json.loads(plain.read_text())
+    assert (payload["nodes"], payload["solution_count"]) == (1001, 175)
+    assert hashlib.sha256(plain.read_bytes()).hexdigest() == PG33_LIMIT_1000_SHA256
+    for value in ("2", "0"):
         monkeypatch.setenv("QGEOM_WORKERS", value)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_USAGE
-        assert "argument --workers" in capsys.readouterr().err
+        cert = tmp_path / f"env_{value}.json"
+        assert run(capsys, *argv, str(cert))[0] == EXIT_BUDGET
+        assert cert.read_bytes() == plain.read_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -638,6 +674,20 @@ def test_design_check_pass_and_fail(tmp_path, capsys):
     code, out, _ = run(capsys, "design", "check", str(damaged), "--t", "1",
                        "--v", "4", "--k", "2", "--l", "1", "--q", "2")
     assert code == EXIT_ERROR and out.startswith("fail")
+
+
+@pytest.mark.parametrize("argv", [("check", "--t", "1", "--v", "4", "--k", "2", "--l", "1",
+                                   "--q", "2"), ("geometric",)])
+def test_design_block_listed_twice_is_rejected(argv, tmp_path, capsys):
+    spread = tmp_path / "spread.json"
+    run(capsys, "design", "spread-gen", "--v", "4", "--k", "2", "--q", "2",
+        "--out", str(spread))
+    payload = json.loads(spread.read_text())
+    payload["blocks"].insert(1, payload["blocks"][0])
+    spread.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "design", argv[0], str(spread), *argv[1:])
+    _one_error_line(code, out, err)
+    assert err == "error: block set lists 6 blocks, 5 of them distinct\n"
 
 
 def _sampled_spread(tmp_path, capsys):
@@ -874,29 +924,6 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
     assert args.out is None and args.json is False
     code, out, _ = run(capsys, "gq", "check", str(w2))
     assert code == EXIT_OK and out.strip() == "GQ of order (2,2)"
-
-
-def test_workers_env_is_read_on_every_call(q4_2_file, capsys, monkeypatch):
-    seen = []
-    enumerate_ovoids = search.enumerate_gq_ovoids
-
-    def spy(s, mode, **kwargs):
-        seen.append(kwargs["workers"])
-        return enumerate_ovoids(s, mode, **kwargs)
-
-    monkeypatch.setattr(search, "enumerate_gq_ovoids", spy)
-    argv = ["search", "ovoids", q4_2_file]
-    monkeypatch.setenv("QGEOM_WORKERS", "2")
-    assert run(capsys, *argv)[0] == EXIT_OK
-    monkeypatch.setenv("QGEOM_WORKERS", "0")
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == EXIT_USAGE
-    assert capsys.readouterr().err.endswith(
-        "qgeom search ovoids: error: argument --workers: expected an integer >= 1, got '0'\n")
-    monkeypatch.delenv("QGEOM_WORKERS")
-    assert run(capsys, *argv)[0] == EXIT_OK
-    assert seen == [2, 1]
 
 
 # ----------------------------------------------------------------------

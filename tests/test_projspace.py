@@ -51,7 +51,6 @@ from qgeom.projspace import (
     subspace_to_json,
     subspaces_within,
     symplectic_form,
-    zero_subspace,
 )
 
 F2 = field_new(2)
@@ -214,7 +213,7 @@ def test_duality_involution_and_inclusion_reversal(q):
 
 def test_duality_special_cases():
     form = dot_form(4, 2)
-    assert dualize(full_space(4, 2), form) == zero_subspace(4, 2)
+    assert dualize(full_space(4, 2), form) == Subspace(4, 0, 2, ())
     h = enumerate_subspaces(7, 6, F2)[0]
     assert dualize(h, dot_form(7, 2)).k == 1
 
@@ -230,7 +229,7 @@ def test_degenerate_form_rejected():
     gram = tuple(tuple(0 for _ in range(4)) for _ in range(4))
     from qgeom.projspace import BilinearForm
     with pytest.raises(DegenerateFormError):
-        dualize(full_space(4, 2), BilinearForm(gram=gram, kind="symmetric"))
+        dualize(full_space(4, 2), BilinearForm(gram=gram))
     del bad
 
 
@@ -241,7 +240,7 @@ def test_degenerate_form_rejected():
 def test_quotient_degenerate_and_dimensions():
     pts = all_points(6, F2)
     P = point_to_subspace(pts[0], 6, 2)
-    assert quotient(P, P) == zero_subspace(5, 2)
+    assert quotient(P, P) == Subspace(5, 0, 2, ())
     plane = next(E for E in enumerate_subspaces(6, 3, F2) if contains(E, P))
     assert quotient(plane, P).k == 2
 
@@ -279,7 +278,7 @@ def test_quotient_preserves_meets():
 
 def test_restrict_filter():
     lines = enumerate_subspaces(4, 2, F2)
-    assert restrict_filter(lines, zero_subspace(4, 2), full_space(4, 2)) == lines
+    assert restrict_filter(lines, Subspace(4, 0, 2, ()), full_space(4, 2)) == lines
     P = point_to_subspace(all_points(4, F2)[0], 4, 2)
     through = restrict_filter(lines, P, full_space(4, 2))
     assert len(through) == 7  # [3]_2 lines per point
@@ -400,7 +399,7 @@ def _revalidated(U):
 @pytest.mark.parametrize("v", [0, 1, 2, 3, 4])
 def test_validating_constructor_accepts_every_constructed_subspace(v, q):
     spec = field_new(q)
-    built = [zero_subspace(v, q), full_space(v, q)]
+    built = [full_space(v, q)]
     built += [point_to_subspace(P, v, q) for P in all_points(v, spec)]
     for k in range(v + 1):
         built += enumerate_subspaces(v, k, spec)
