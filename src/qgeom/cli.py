@@ -109,8 +109,8 @@ class _Io:
 
 
 def _search_kwargs(args):
-    return {"workers": args.workers, "node_limit": args.limit,
-            "max_solutions": args.max_solutions, "seed": args.seed}
+    return {"node_limit": args.limit, "max_solutions": args.max_solutions,
+            "seed": args.seed}
 
 
 def _int_at_least(low: int):
@@ -395,8 +395,6 @@ def _add_search_flags(p):
     p.add_argument("--max-solutions", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0,
                    help="option-order shuffle seed (default 0)")
-    p.add_argument("--workers", type=_int_at_least(1), default=1,
-                   help="worker processes, at least 1 (default 1)")
 
 
 @functools.cache

@@ -299,6 +299,11 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
     DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)  # checks k and q
     field_new(blocks.q)
     block_list = blocks.sorted_blocks()
+    # A spread has [v]_q / [k]_q blocks.  Count them before any mask of
+    # [v]_q bits is built, and without q^v when no block's rows bound v.
+    k_points = q_number(blocks.k, blocks.q)
+    if not block_list or len(block_list) * k_points != q_number(blocks.v, blocks.q):
+        raise NotASpreadError("block set is not a spread")
     block_masks = [point_mask(B) for B in block_list]
     if disjoint_union(block_masks) != ((1 << q_number(blocks.v, blocks.q)) - 1, 0):
         raise NotASpreadError("block set is not a spread")

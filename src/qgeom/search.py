@@ -18,10 +18,7 @@ searches the options are the incidence and point masks, so that check
 is the defining predicate.
 
 Randomized option orders take an explicit seed; there is no global
-randomness.  Multi-worker runs split the root branching across
-processes; the merged solution list and count are independent of the
-worker count (node budgets then apply per root branch, see
-solve_exact_cover).
+randomness.
 """
 
 from __future__ import annotations
@@ -122,14 +119,6 @@ class SearchCertificate:
 # Bitset Algorithm X core
 # ----------------------------------------------------------------------
 
-class _Stop(Exception):
-    pass
-
-
-class _Budget(Exception):
-    pass
-
-
 class _Run:
     """One run of Algorithm X on bitsets: node counting, budgets, solutions.
 
@@ -191,27 +180,26 @@ class _Run:
         return fields.index(least), least
 
     def emit(self):
+        """Record the cover on the stack; true once the solution cap binds."""
         self.count += 1
         if self.store:
             self.solutions.append(tuple(sorted(self.order[p] for p in self.stack)))
-        if self.max_solutions is not None and self.count >= self.max_solutions:
-            raise _Stop
+        return self.max_solutions is not None and self.count >= self.max_solutions
 
-    def search(self, rows=None):
-        """Try the root candidates ``rows`` (default: the root column's
-        options) and walk every subtree below them, depth first."""
+    def search(self):
+        """Walk the whole tree depth first.  Returns "completed", "stopped"
+        (the solution cap bound) or "budget" (the node limit bound)."""
         cols, conflict, vec, tag, done = self.cols, self.conflict, self.vec, self.tag, self.done
         step = [t - v for t, v in zip(tag, vec)]  # option p is always among those it removes
         column, emit, stack, frames = self.column, self.emit, self.stack, []
         active, sizes, nodes, limit = self.active, self.sizes, self.nodes, self.node_limit
-        if rows is None:
-            col, least = column(sizes)
-            rows = active & cols[col] if least else 0
+        col, least = column(sizes)
+        rows = active & cols[col] if least else 0
         try:
             while True:
                 if not rows:
                     if not frames:
-                        return
+                        return "completed"
                     active, sizes, rows = frames.pop()
                     stack.pop()
                     continue
@@ -220,13 +208,15 @@ class _Run:
                 p = low.bit_length() - 1
                 nodes += 1
                 if nodes > limit:
-                    raise _Budget
+                    return "budget"
                 gone = active & conflict[p]
                 if gone == active:  # no option left: a cover or a dead end, settled here
                     if (sizes + tag[p]) & done == done:
                         stack.append(p)
-                        emit()
+                        capped = emit()
                         stack.pop()
+                        if capped:
+                            return "stopped"
                     continue
                 child = sizes + step[p]
                 rest = gone ^ low
@@ -244,21 +234,11 @@ class _Run:
             self.nodes = nodes
 
 
-def _run_subtree(instance, option_order, store, max_solutions, node_limit,
-                 forced=None):
-    """Search the whole tree, or only the subtree under the root option
-    at position ``forced``.
-
-    Returns (solutions, count, nodes, completed, budget_hit); a forced
-    root try counts as one node, matching the whole-tree count."""
+def _search(instance, option_order, store, max_solutions, node_limit):
+    """(outcome, solutions, count, nodes) of one run; its per-option
+    tables are freed before the caller copies and checks the solutions."""
     run = _Run(instance, option_order, store, max_solutions, node_limit)
-    try:
-        run.search(None if forced is None else 1 << forced)
-        return run.solutions, run.count, run.nodes, True, False
-    except _Stop:
-        return run.solutions, run.count, run.nodes, False, False
-    except _Budget:
-        return run.solutions, run.count, run.nodes, False, True
+    return run.search(), run.solutions, run.count, run.nodes
 
 
 # ----------------------------------------------------------------------
@@ -269,8 +249,7 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
                       node_limit: int | None = None,
                       max_solutions: int | None = None,
                       seed: int | None = None,
-                      option_order=None,
-                      workers: int = 1) -> SearchCertificate:
+                      option_order=None) -> SearchCertificate:
     """Run Algorithm X on the instance and certify the outcome.
 
     mode "first" stops after max_solutions (default 1) solutions; "all"
@@ -278,14 +257,10 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     certificate incomplete when it binds); "count" is "all" without
     storing the solutions.  A node is one option try; exceeding
     node_limit raises BudgetExceededError carrying the partial
-    certificate.  With workers > 1 the root branching is split across
-    processes and node_limit applies to each root branch separately;
-    solution sets and counts do not depend on the worker count.
+    certificate.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    if type(workers) is not int or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, not {workers!r}")
     if mode == "first" and max_solutions is None:
         max_solutions = 1
     if option_order is not None and seed is not None:
@@ -297,57 +272,27 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     option_order = tuple(option_order)
     if sorted(option_order) != list(range(len(instance.options))):
         raise ValueError("option_order must be a permutation of all option ids")
-    store = mode != "count"
     digest = instance_digest(instance)
 
-    def finish(solutions, count, nodes, completed, budget_hit):
-        solutions = tuple(solutions)
-        options, cover = instance.options, ((1 << instance.n_elements) - 1, 0)
-        for sol in solutions:
-            if disjoint_union([options[o] for o in sol]) != cover:
-                raise RuntimeError("internal: emitted solution is not an exact cover")
-        final_mode = "nonexistence" if (completed and count == 0) else mode
-        cert = SearchCertificate(
-            digest=digest, mode=final_mode, solutions=solutions,
-            nodes_visited=nodes, option_order=option_order,
-            completed=completed, solution_count=count, seed=seed)
-        if budget_hit:
-            raise BudgetExceededError(
-                f"node budget {node_limit} exceeded", certificate=cert)
-        return cert
-
     if instance.n_elements == 0:
-        return finish([()], 1, 0, True, False)
-
-    if workers <= 1:
-        return finish(*_run_subtree(instance, option_order, store,
-                                    max_solutions, node_limit))
-
-    # Parallel: deterministic root split.  The tasks traverse exactly
-    # the subtrees the sequential search would, in the same order.
-    probe = _Run(instance, option_order, store, max_solutions, node_limit)
-    col, least = probe.column(probe.sizes)
-    if not least:
-        return finish([], 0, 0, True, False)
-    branch = bit_ids(probe.cols[col])
-    args = [(instance, option_order, store, max_solutions, node_limit, forced)
-            for forced in branch]
-    import multiprocessing
-    with multiprocessing.Pool(processes=min(workers, len(args))) as pool:
-        results = pool.starmap(_run_subtree, args)
-    solutions, count, nodes, completed, budget_hit = [], 0, 0, True, False
-    for sols, c, nd, comp, bud in results:
-        solutions.extend(sols)
-        count += c
-        nodes += nd
-        completed = completed and comp
-        budget_hit = budget_hit or bud
-    if max_solutions is not None and count >= max_solutions:
-        # mirror the sequential stop-at-cap semantics
-        solutions = solutions[:max_solutions]
-        count = max_solutions
-        completed = False
-    return finish(solutions, count, nodes, completed, budget_hit)
+        outcome, found, count, nodes = "completed", [()], 1, 0
+    else:
+        outcome, found, count, nodes = _search(instance, option_order, mode != "count",
+                                               max_solutions, node_limit)
+    solutions = tuple(found)
+    options, cover = instance.options, ((1 << instance.n_elements) - 1, 0)
+    for sol in solutions:
+        if disjoint_union([options[o] for o in sol]) != cover:
+            raise RuntimeError("internal: emitted solution is not an exact cover")
+    completed = outcome == "completed"
+    cert = SearchCertificate(
+        digest=digest,
+        mode="nonexistence" if completed and count == 0 else mode,
+        solutions=solutions, nodes_visited=nodes, option_order=option_order,
+        completed=completed, solution_count=count, seed=seed)
+    if outcome == "budget":
+        raise BudgetExceededError(f"node budget {node_limit} exceeded", certificate=cert)
+    return cert
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI surface tests: exit-code contract, JSON payloads, piping via '-',
 and golden human renderings."""
 
+import argparse
 import ast
 import hashlib
 import io
@@ -207,6 +208,24 @@ def test_no_module_reads_the_process_environment():
                     and any(alias.name in readers for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _option_strings(parser):
+    """Every option string of parser and of its subparsers, recursively."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _option_strings(sub)
+    return flags
+
+
+def test_every_flag_named_in_the_readme_is_accepted():
+    """README advertises no flag that the CLI refuses; pip's
+    --no-build-isolation is the one flag it names for another tool."""
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", (REPO / "README.md").read_text()))
+    assert named - _option_strings(build_parser()) - {"--no-build-isolation"} == set()
 
 
 # ----------------------------------------------------------------------
@@ -554,9 +573,7 @@ def test_partition_first_level_abort_emits_no_certificate(what, level, q4_2_file
 
 @pytest.mark.parametrize("flag,value", [("--limit", "-5"), ("--limit", "-1e3"),
                                         ("--limit", "1.5"), ("--limit", "nan"),
-                                        ("--max-solutions", "0"), ("--max-solutions", "-2"),
-                                        ("--workers", "0"), ("--workers", "-3"),
-                                        ("--workers", "2.5"), ("--workers", "two")])
+                                        ("--max-solutions", "0"), ("--max-solutions", "-2")])
 def test_search_budget_flags_reject_bad_values(flag, value, q4_2_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "ovoids", q4_2_file, flag, value])
@@ -605,27 +622,28 @@ def test_search_pg_spreads_policy_budget(capsys):
     assert code == EXIT_BUDGET
 
 
-def test_workers_env_fallback(q4_2_file, tmp_path, capsys, monkeypatch):
-    """An omitted --workers falls back to the parser default of 1,
-    whatever QGEOM_WORKERS holds."""
-    monkeypatch.setenv("QGEOM_WORKERS", "2")
-    assert build_parser().parse_args(["search", "ovoids", q4_2_file]).workers == 1
+@pytest.mark.parametrize("argv", [["search", "ovoids", "FILE"],
+                                  ["search", "pg-spreads", "--v", "4", "--q", "3"]])
+def test_search_refuses_a_worker_count(argv, q4_2_file, capsys):
+    argv = [q4_2_file if a == "FILE" else a for a in argv]
     with pytest.raises(SystemExit) as exc:
-        main(["search", "pg-spreads", "--help"])
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --workers 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
     assert exc.value.code == EXIT_OK
-    assert "at least 1 (default 1)" in " ".join(capsys.readouterr().out.split())
-    cert = tmp_path / "cert.json"
-    code, _, _ = run(capsys, "search", "ovoids", q4_2_file, "--out", str(cert))
-    assert code == EXIT_OK
-    assert json.loads(cert.read_text())["solution_count"] == 6
+    assert "--workers" not in capsys.readouterr().out
 
 
 PG33_LIMIT_1000_SHA256 = "73abda584ea3bd4597b6b81b93c6d91e3f6ed9bb03d7541d6d11fc9f585559a5"
 
 
 def test_workers_env_is_ignored(tmp_path, capsys, monkeypatch):
-    """argv alone decides the payload: with --workers > 1 --limit would
-    apply to each root branch, so no environment value may raise it."""
+    """argv alone decides the payload: --limit bounds the whole tree,
+    and no environment value may change that."""
     argv = ["search", "pg-spreads", "--v", "4", "--q", "3", "--limit", "1000", "--out"]
     monkeypatch.delenv("QGEOM_WORKERS", raising=False)
     plain = tmp_path / "plain.json"
@@ -734,6 +752,17 @@ def test_design_geometric_false_on_a_spread_switched_in_one_solid(tmp_path, caps
                                                                  switched_spread):
     _assert_geometric_false("switched", _switched_spread(tmp_path, switched_spread),
                             tmp_path, capsys)
+
+
+@pytest.mark.parametrize("blocks", [[], [{"v": 64, "k": 1, "q": 2, "rows": [[0] * 63 + [1]]}]],
+                         ids=["empty", "one-point"])
+def test_design_geometric_refuses_too_few_blocks_in_a_huge_space(blocks, tmp_path, capsys):
+    # PG(63,2) has 2^64 - 1 points: neither q^v nor a mask of them may be built
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"schema_version": 1, "v": 64, "k": 1, "q": 2, "blocks": blocks}))
+    code, out, err = run(capsys, "design", "geometric", str(f))
+    _one_error_line(code, out, err)
+    assert err == "error: block set is not a spread\n"
 
 
 # (exit code, payload digest) of `design alpha` at the apex of the cone over each spread
@@ -936,7 +965,7 @@ SWEEP_BASELINES = [
     (["gq", "build", "--type", "W"], {"--q": "2"}),
     (["search", "pg-spreads", "--mode", "count"],
      {"--v": "4", "--q": "2", "--limit": "1e7", "--max-solutions": "100",
-      "--seed": "0", "--workers": "1"}),
+      "--seed": "0"}),
     (["design", "spread-gen"], {"--v": "4", "--k": "2", "--q": "2"}),
     (["design", "check", "SPREAD"], {"--t": "1", "--v": "4", "--k": "2", "--l": "1", "--q": "2"}),
     (["design", "derive", "SPREAD"], {"--point": "0"}),

@@ -11,7 +11,6 @@ set-based Algorithm X with the same column and row rules.
 import hashlib
 import itertools
 import json
-import multiprocessing
 import warnings
 
 import numpy as np
@@ -29,7 +28,6 @@ from qgeom.search import (
     ExactCoverInstance,
     SearchCertificate,
     _Run,
-    _run_subtree,
     certificate_from_json,
     certificate_to_json,
     enumerate_gq_ovoids,
@@ -172,7 +170,7 @@ def test_partition_trees_are_pinned(q, nodes):
     assert cert.nonexistence_certified and cert.nodes_visited == nodes
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"seed": 0}, {"seed": 5, "workers": 2},
+@pytest.mark.parametrize("kwargs", [{}, {"seed": 0}, {"seed": 5},
                                     {"node_limit": 0}, {"max_solutions": 3}])
 @pytest.mark.parametrize("mode", ["all", "first", "count"])
 def test_no_options_certify_nonexistence_without_a_node(mode, kwargs):
@@ -232,10 +230,10 @@ def test_pg33_count_mode_walks_the_same_tree():
     assert cert.completed
 
 
-def test_pg33_root_split_across_workers_is_pinned(inline_pool):
-    cert = solve_exact_cover(pg_line_spread_instance(4, F3), "all", seed=0, workers=4)
-    assert _pin(cert) == "47866/8424/5f7dccb0a2488458"
-    assert inline_pool == [4]
+def test_the_solver_takes_no_worker_count():
+    # one process walks the whole tree, so node_limit bounds all of it
+    with pytest.raises(TypeError, match="unexpected keyword argument 'workers'"):
+        solve_exact_cover(gq_ovoid_instance(build_q4(2)), "all", workers=2)
 
 
 def test_a_tree_deeper_than_the_recursion_limit():
@@ -319,11 +317,6 @@ def test_partition_root_children_without_options_match_algorithm_x(q):
     cert = solve_exact_cover(instance, "all")
     found, nodes, _ = _algorithm_x(instance, order)
     assert cert.nonexistence_certified and found == [] and cert.nodes_visited == nodes
-    col, _ = run.column(run.sizes)
-    subtrees = [_run_subtree(instance, order, True, None, None, p)
-                for p in bit_ids(run.cols[col])]
-    assert sum(sub[2] for sub in subtrees) == cert.nodes_visited
-    assert all(sub[:2] == ([], 0) and sub[3:] == (True, False) for sub in subtrees)
 
 
 def test_wide_columns_use_sixteen_bit_sizes():
@@ -499,81 +492,6 @@ def test_pg_spread_policy_guards():
         enumerate_pg_line_spreads(6, F2, "first")  # needs max_solutions
     with pytest.raises(BudgetExceededError):
         enumerate_pg_line_spreads(8, F2, "first", max_solutions=1)
-
-
-# ----------------------------------------------------------------------
-# Determinism across workers
-# ----------------------------------------------------------------------
-
-def test_worker_counts_do_not_change_results():
-    base = enumerate_pg_line_spreads(4, F2)
-    for workers in (2, 8):
-        cert = enumerate_pg_line_spreads(4, F2, workers=workers)
-        assert cert.solutions == base.solutions
-        assert cert.solution_count == base.solution_count
-        assert cert.nodes_visited == base.nodes_visited
-        assert cert.digest == base.digest
-
-
-@pytest.mark.parametrize("workers", [0, -3, 1.0, "2", None])
-def test_bad_worker_counts_are_refused(workers):
-    with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
-        solve_exact_cover(gq_ovoid_instance(build_q4(2)), "all", workers=workers)
-
-
-def test_two_workers_match_sequential_on_q4_3_ovoids():
-    instance = gq_ovoid_instance(build_q4(3))
-    base = solve_exact_cover(instance, "all", seed=0)
-    cert = solve_exact_cover(instance, "all", seed=0, workers=2)
-    assert cert == base and _pin(cert) == "280/36/16aa3ddd657c1334"
-
-
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace multiprocessing.Pool by a stand-in that records its size and
-    runs the tasks in this process; returns the recorded sizes."""
-    sizes = []
-
-    class Pool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, args):
-            return [fn(*a) for a in args]
-
-    monkeypatch.setattr(multiprocessing, "Pool", Pool)  # read when the pool starts
-    return sizes
-
-
-def test_pool_is_no_larger_than_the_root_branching(inline_pool):
-    instance = gq_ovoid_instance(build_q4(3))  # each line has q + 1 = 4 points
-    cert = solve_exact_cover(instance, "all", seed=0, workers=64)
-    assert inline_pool == [4]
-    assert cert == solve_exact_cover(instance, "all", seed=0)
-
-
-def test_worker_counts_agree_on_partitions(monkeypatch):
-    real_pool, sizes = multiprocessing.Pool, []
-
-    def pool(processes):  # a real pool of worker processes, recorded
-        sizes.append(processes)
-        return real_pool(processes)
-
-    monkeypatch.setattr(multiprocessing, "Pool", pool)
-    w2 = build_w(2)
-    base = partition_into_spreads(w2)
-    assert sizes == []
-    for workers in (2, 8):
-        cert = partition_into_spreads(w2, workers=workers)
-        assert cert.solutions == base.solutions
-        assert cert.nonexistence_certified == base.nonexistence_certified
-    assert sizes == [2, 2, 3, 2]  # min(workers, root branching), one pool per level
 
 
 # ----------------------------------------------------------------------
