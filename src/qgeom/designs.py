@@ -58,6 +58,7 @@ from .projspace import (
     q_number,
     quotient,
     require_ambient,
+    require_enumerable,
     subspace_from_json,
     subspace_to_json,
     subspaces_within,
@@ -140,11 +141,13 @@ class DesignReport:
 
 
 def is_design(blocks: BlockSet, params: DesignParams) -> DesignReport:
-    """Check that every t-subspace lies in exactly lambda blocks."""
+    """Check that every t-subspace lies in exactly lambda blocks; their
+    number is checked against the budget before any block mask is built."""
     if (blocks.v, blocks.q, blocks.k) != (params.v, params.q, params.k):
         raise ParamMismatchError(
             f"block set ({blocks.v},{blocks.k})_{blocks.q} does not match {params}")
     spec = field_new(params.q)
+    require_enumerable(params.v, params.t, params.q)
     block_masks = [point_mask(B) for B in blocks.sorted_blocks()]
     witnesses = []
     for T in enumerate_subspaces(params.v, params.t, spec):

@@ -23,20 +23,20 @@ from .errors import (
     PayloadError,
     UnknownIdError,
 )
-from .gf import field_new, ops_for_order
+from .gf import dot, field_new, ops_for_order
 from .projspace import (
     SCHEMA_VERSION,
     BilinearForm,
     Subspace,
+    _canonical,
+    _combine,
     _kernel,
     all_points,
     bit_ids,
     disjoint_union,
-    enumerate_subspaces,
     form_value,
     json_object,
     mask_of,
-    point_mask,
     point_to_subspace,
     require_ambient,
     rref,
@@ -168,25 +168,49 @@ def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
     """The points x of PG(v-1,q) with Q(x) = quadratic(x, x) = 0, and the
     lines of PG(v-1,q) all of whose points are such zeroes.
 
-    A line <b0, b1> is kept iff Q(b0) = Q(b1) = f(b0, b1) = 0 for the polar
-    form f, which is exact in every characteristic because
-    Q(a b0 + b b1) = a^2 Q(b0) + b^2 Q(b1) + ab f(b0, b1).  For W(q), Q is
-    zero and f alternating, so f(a b0 + b b1, c b0 + d b1) = (ad - bc) f(b0, b1).
-    RREF rows are normalized point vectors, so the first two conditions are
-    a lookup in the zero set; only the kept lines get point sets.
+    Since Q(x a + y b) = x^2 Q(a) + y^2 Q(b) + xy f(a, b) for the polar
+    form f, in every characteristic, the lines through a zero a are the
+    <a, b> with b a zero in a^perp (for W(q), Q is zero and f alternating).
+    a^perp is a hyperplane holding a, as the radical of f holds no zero,
+    so its RREF basis is read off its normal.  Dropping the row at a's
+    leading position leaves a complement C of a, which each such line
+    meets in one normalized point b = x C, x in PG(v-3,q).
+
+    A line's lowest point in ``all_points`` order is the one leading at
+    its second pivot.  Taking from a only the b that lead before a finds
+    each line once, with (b, a) its RREF basis, so the sorted bases are
+    the lines in ``enumerate_subspaces`` order.
     """
     spec = field_new(q)  # raises OutOfRangeError beyond 16
+    ops = ops_for_order(q)
     zeroes = [p for p in all_points(v, spec)
               if form_value(quadratic, p.vector, p.vector, q) == 0]
-    idx = {p.index: i for i, p in enumerate(zeroes)}
-    singular = {p.vector for p in zeroes}
-    lines = [L for L in enumerate_subspaces(v, 2, spec)
-             if L.basis[0] in singular and L.basis[1] in singular
-             and form_value(polar, L.basis[0], L.basis[1], q) == 0]
-    return incidence_from_lines(
-        len(zeroes), [[idx[i] for i in bit_ids(point_mask(L))] for L in lines],
+    idx = {p.vector: i for i, p in enumerate(zeroes)}
+    coords = all_points(v - 2, spec)
+    bases = []
+    for a in idx:
+        normal = [dot(row, a, ops) for row in polar.gram]  # a^perp = {x : normal . x = 0}
+        last = max(j for j, n in enumerate(normal) if n)
+        scale = ops._mul[ops.neg(ops.inv(normal[last]))]
+        lead = a.index(1)
+        rest = []  # a^perp's RREF rows e_j - (n_j / n_last) e_last, except j = lead
+        for j in range(v):
+            if j != last and j != lead:
+                row = [0] * v
+                row[j], row[last] = 1, scale[normal[j]]
+                rest.append(row)
+        before = lead - (last < lead)  # the rows of rest with pivot before lead
+        for x in coords:
+            if x.vector.index(1) < before:
+                b = tuple(_combine(x.vector, rest, v, ops))
+                if b in idx:
+                    bases.append((b, a))
+    bases.sort()
+    return incidence_from_lines(  # the points b + y a, then a
+        len(zeroes), [[idx[tuple(_combine((1, y), L, v, ops))] for y in range(q)] + [idx[L[1]]]
+                      for L in bases],
         point_labels=tuple(point_to_subspace(p, v, q) for p in zeroes),
-        line_labels=tuple(lines))
+        line_labels=tuple(_canonical(v, 2, q, L) for L in bases))
 
 
 # ----------------------------------------------------------------------

@@ -185,12 +185,18 @@ def enumerate_subspaces(v: int, k: int, spec: FieldSpec) -> list[Subspace]:
     return list(_enumerate_cached(v, k, spec.q))
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(v: int, k: int, q: int) -> tuple[Subspace, ...]:
+def require_enumerable(v: int, k: int, q: int) -> None:
+    """Raise BudgetExceededError when the k-subspaces of F_q^v number
+    more than ENUMERATION_BUDGET."""
     count = gaussian_binomial(v, k, q)
     if count > ENUMERATION_BUDGET:
         raise BudgetExceededError(
             f"{count} subspaces exceed the enumeration budget {ENUMERATION_BUDGET}")
+
+
+@lru_cache(maxsize=None)
+def _enumerate_cached(v: int, k: int, q: int) -> tuple[Subspace, ...]:
+    require_enumerable(v, k, q)
     bases = []
     for pivots in itertools.combinations(range(v), k):
         per_row = []

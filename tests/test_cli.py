@@ -299,10 +299,16 @@ GQ_BUILD_SHA256 = {
     ("Q4", 3): "7380233572a30224d898fa2bb4dc427be04b2b351dcb356b72d1c29f0b4c5cac",
     ("Q4", 4): "8c64df0a229325f6c57d86a478ef985a6f67b094ae8ddba172a46733927d2067",
     ("Q4", 5): "d87372e3dd95c38b08bf844d8f3fb0b4da55599e75c0256492a346003f0a4d2d",
+    ("Q4", 7): "6998488f812e0bfb35a3d578a0bf22d822bb8aa7b9b83fde05440d93dca5ac3d",
+    ("Q4", 8): "e5a3c2720e55c5a9de75c0453f4c71abe8a8015ff4e432675b024821ccf80f46",
+    ("Q4", 9): "a4744d681b222a1ae8d4cced140ad09f9c6fb232d8f57768e4d480574c0d5408",
     ("W", 2): "49a5da072459cdf878541bd56434a59b427600bb096392aeda5fc6ec60bbb608",
     ("W", 3): "48771c7c84899e539595a546e0a7d2b9668264f819cd24a29be0cfeb183eb67a",
     ("W", 4): "eba5776862f009a1adb729fd2a66aa01b169186a657708335b5fc0d663f5ab51",
     ("W", 5): "d9c7d06322c466037e4d9860a2585710aea794fa5771e77dc1679fa5b3794995",
+    ("W", 7): "358ca44d3ebc31904e53bf9ce5840d64d9993c6a6863b530bba6e27966266ac1",
+    ("W", 8): "2e51a4a6ee7fa5799412996cf110edd29247d53b0350d3f120173ef6b3cdc954",
+    ("W", 9): "f1b5ef29d42d8018f56b1c5b9d0e41efdfd01401ff733d79c8221ce8b3dc29e6",
 }
 
 

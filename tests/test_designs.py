@@ -105,6 +105,18 @@ def test_is_design_param_mismatch():
         is_design(spread, DesignParams(1, 4, 2, 1, 3))
 
 
+def test_is_design_applies_the_budget_before_building_block_masks(monkeypatch):
+    # [13 choose 2]_2 = 11,180,715 lines exceed the budget; PG(12,2) has 8,191 points
+    def no_masks(U):
+        raise AssertionError("point_mask called before the budget check")
+
+    monkeypatch.setattr(designs, "point_mask", no_masks)
+    plane = block_set([subspace_from_rows(((1,) + (0,) * 12, (0, 1) + (0,) * 11,
+                                           (0, 0, 1) + (0,) * 10), 13, 2)])
+    with pytest.raises(BudgetExceededError, match="^11180715 subspaces exceed"):
+        is_design(plane, DesignParams(t=2, v=13, k=3, lam=1, q=2))
+
+
 def test_design_params_invariants():
     with pytest.raises(ValueError):
         DesignParams(2, 5, 4, 1, 2)  # k > v - t

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from qgeom import projspace
 from qgeom.errors import (
     AmbientMismatchError,
     BudgetExceededError,
@@ -31,12 +32,16 @@ from qgeom.gq import (
     structure_to_json,
 )
 from qgeom.projspace import (
+    BilinearForm,
     _kernel,
     all_points,
+    bit_ids,
     contains,
     enumerate_subspaces,
     form_value,
     join,
+    point_mask,
+    point_to_subspace,
     require_ambient,
     rref,
     subspace_from_rows,
@@ -102,6 +107,40 @@ def test_q4_is_the_zero_set_of_its_quadratic_form(q):
     assert q4.line_labels == tuple(lines)
     assert q4.line_points == tuple(tuple(sorted(index[p.vector] for p in subspace_points(L)))
                                    for L in lines)
+
+
+def _walked_quadrangle(v, q, quadratic, polar):
+    # the construction the builds replaced: walk every line of PG(v-1,q)
+    # and keep those whose RREF rows are zeroes with polar value 0
+    spec = field_new(q)
+    zeroes = [p for p in all_points(v, spec)
+              if form_value(quadratic, p.vector, p.vector, q) == 0]
+    idx = {p.index: i for i, p in enumerate(zeroes)}
+    singular = {p.vector for p in zeroes}
+    lines = [L for L in enumerate_subspaces(v, 2, spec)
+             if L.basis[0] in singular and L.basis[1] in singular
+             and form_value(polar, L.basis[0], L.basis[1], q) == 0]
+    return incidence_from_lines(
+        len(zeroes), [[idx[i] for i in bit_ids(point_mask(L))] for L in lines],
+        point_labels=tuple(point_to_subspace(p, v, q) for p in zeroes),
+        line_labels=tuple(lines))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_builds_equal_the_walk_over_every_line_without_enumerating(q, monkeypatch):
+    ops = ops_for_order(q)
+    upper = ((0, 1, 0, 0, 0), (0,) * 5, (0, 0, 0, 1, 0), (0,) * 5, (0, 0, 0, 0, 1))
+    polar = tuple(tuple(map(ops.add, row, col)) for row, col in zip(upper, zip(*upper)))
+    walked = (_walked_quadrangle(4, q, BilinearForm(gram=((0,) * 4,) * 4), symplectic_form(q)),
+              _walked_quadrangle(5, q, BilinearForm(gram=upper), BilinearForm(gram=polar)))
+
+    def no_enumeration(*args):
+        raise AssertionError("a build enumerated the subspaces of PG(v-1,q)")
+
+    monkeypatch.setattr(projspace, "enumerate_subspaces", no_enumeration)
+    monkeypatch.setattr(projspace, "_enumerate_cached", no_enumeration)
+    # __wrapped__ skips the lru_cache, so the builds run under the patch
+    assert (build_w.__wrapped__(q), build_q4.__wrapped__(q)) == walked
 
 
 def test_q4_lines_lie_on_the_quadric():
