@@ -139,11 +139,11 @@ def field_new(q: int) -> FieldSpec:
     FieldSpec), so canonical subspace forms and golden files are stable
     across builds.
     """
+    if q > MAX_FIELD_ORDER:  # before trial division, which a huge q makes endless
+        raise OutOfRangeError(f"q={q} exceeds the supported maximum {MAX_FIELD_ORDER}")
     pp = prime_power_decomposition(q)
     if pp is None:
         raise NotAPrimePowerError(f"q={q} is not a prime power")
-    if q > MAX_FIELD_ORDER:
-        raise OutOfRangeError(f"q={q} exceeds the supported maximum {MAX_FIELD_ORDER}")
     p, e = pp
     if e == 1:
         modulus = (0, 1)

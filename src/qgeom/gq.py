@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import (
     BudgetExceededError,
@@ -32,21 +31,19 @@ from .projspace import (
     _combine,
     _kernel,
     all_points,
+    annihilated,
     bit_ids,
     disjoint_union,
     form_value,
     json_object,
     mask_of,
-    point_to_subspace,
     require_ambient,
+    row_masks,
     rref,
     subspace_from_json,
     subspace_to_json,
     symplectic_form,
 )
-
-if TYPE_CHECKING:  # numpy loads on the first call that needs it
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -88,26 +85,21 @@ class IncidenceStructure:
         return tuple(mask_of(ls) for ls in self.point_lines)
 
     @cached_property
-    def label_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, owner): every basis row of the point labels, then of the
+    def label_rows(self) -> tuple[tuple[int, ...], ...]:
+        """``row_masks`` of every basis row of the point labels, then of the
         line labels, computed once per structure.
 
-        ``cols[c]`` holds coordinate c of every row and ``owner`` the label
-        of each row, with line j numbered n_points + j.  Raises
-        AmbientMismatchError unless all labels live in one F_q^v, and
-        ValueError unless the point labels are points and the line labels lines.
+        Row i is point label i, and rows n_points + 2j and n_points + 2j + 1
+        are the basis of line label j.  Raises AmbientMismatchError unless
+        all labels live in one F_q^v, and ValueError unless the point labels
+        are points and the line labels lines.
         """
-        import numpy as np
         labels = self.point_labels + self.line_labels
         v, q = labels[0].v, labels[0].q
         require_ambient(v, q, labels)
         if any(P.k != 1 for P in self.point_labels) or any(L.k != 2 for L in self.line_labels):
             raise ValueError("point labels must be points and line labels lines")
-        rows = [row for lab in labels for row in lab.basis]
-        cols = np.array(rows, dtype=np.intp).reshape(len(rows), v).T.copy()
-        owner = np.repeat(np.arange(len(labels), dtype=np.intp),
-                          [len(lab.basis) for lab in labels])
-        return cols, owner
+        return row_masks([row for lab in labels for row in lab.basis], v, q)
 
 
 def incidence_from_lines(n_points: int, lines,
@@ -209,7 +201,7 @@ def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
     return incidence_from_lines(  # the points b + y a, then a
         len(zeroes), [[idx[tuple(_combine((1, y), L, v, ops))] for y in range(q)] + [idx[L[1]]]
                       for L in bases],
-        point_labels=tuple(point_to_subspace(p, v, q) for p in zeroes),
+        point_labels=tuple(_canonical(v, 1, q, (p.vector,)) for p in zeroes),
         line_labels=tuple(_canonical(v, 2, q, L) for L in bases))
 
 
@@ -409,14 +401,13 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     of PG(4,q) containing no line of the quadric.  Needs the coordinate
     labels from build_q4: points labelled by points and lines by lines.
 
-    The ovoid's rows are eliminated only until rank 4; one vectorized
-    dot of the other rows with the normals of that span settles rank 4.
-    Then one pass over ``q4.label_rows`` finds the labels inside the
-    hyperplane.  The labels of the whole structure are checked for one
-    ambient space and their kinds when that array is built, once per
-    structure.
+    The ovoid's rows are eliminated only until rank 4; a dot of the other
+    rows with the normals of that span settles rank 4.  Then one
+    ``annihilated`` pass over ``q4.label_rows`` finds the labels inside
+    the hyperplane.  The labels of the whole structure are checked for
+    one ambient space and their kinds when those masks are built, once
+    per structure.
     """
-    import numpy as np
     if q4.point_labels is None or q4.line_labels is None:
         raise MissingLabelsError("structure carries no coordinate labels")
     ids = sorted(set(pointset))
@@ -430,55 +421,25 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     normals = _hyperplane_normals([lab.basis[0] for lab in labels], v, q)
     if normals is None:
         return False
-    cols, owner = q4.label_rows
-    off = np.bincount(owner[_off_normals(cols, normals, q)],
-                      minlength=q4.n_points + q4.n_lines)
-    # the labels inside are exactly the ovoid's points: line labels are
-    # numbered from n_points on, so equality also says no line is inside
-    return np.array_equal(np.flatnonzero(off == 0), ids)
+    inside, n = annihilated(q4.label_rows, normals, q), q4.n_points
+    on_lines = inside >> n  # bits 2j and 2j + 1: the two rows of line j
+    return (inside & ((1 << n) - 1) == mask_of(ids)
+            and not on_lines & on_lines >> 1 & ((1 << 2 * q4.n_lines) - 1) // 3)
 
 
 def _hyperplane_normals(rows, v: int, q: int):
     """Normals of the span of rows when it has dimension exactly 4, else None.
 
     Row-reduces a growing prefix of rows only until rank 4, then checks
-    the remaining rows against the normals in one vectorized dot.
+    the remaining rows against the normals.
     """
-    import numpy as np
     basis, end = rref(rows[:4], q), 4
     while len(basis) < 4 and end < len(rows):  # the rank grows by at most 1 a row
         basis, end = rref(basis + (rows[end],), q), end + 1
     if len(basis) < 4:
         return None
-    normals = _kernel(basis, v, q)
-    rest = np.array(rows[end:], dtype=np.intp).reshape(-1, v).T
-    return None if _off_normals(rest, normals, q).any() else normals
-
-
-def _off_normals(cols, normals, q: int) -> np.ndarray:
-    """Per row of the column array cols: whether the row has a nonzero dot
-    with some normal, i.e. lies outside the subspace they annihilate."""
-    import numpy as np
-    add, mul = _field_arrays(q)
-    off = np.zeros(cols.shape[1], dtype=bool)
-    for n in normals:
-        acc = np.zeros(cols.shape[1], dtype=np.intp)
-        for col, x in zip(cols, n):
-            if x:
-                acc = add[acc, mul[x][col]]
-        off |= acc != 0
-    return off
-
-
-@lru_cache(maxsize=None)
-def _field_arrays(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only numpy copies of the add and mul tables of F_q."""
-    import numpy as np
-    ops = ops_for_order(q)
-    tables = np.array(ops._add, dtype=np.intp), np.array(ops._mul, dtype=np.intp)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+    normals, ops = _kernel(basis, v, q), ops_for_order(q)
+    return None if any(dot(n, row, ops) for row in rows[end:] for n in normals) else normals
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,8 @@ memoized on that subspace object, so it lives exactly as long as the
 subspace does.  Hot verification loops test containment within one
 ambient space as a mask subset test, ``inner & ~outer == 0``, after
 ``require_ambient``; ``contains`` stays the row-reduction test for
-subspaces that are used once.
+subspaces that are used once.  Many rows against one subspace: ``row_masks``
+packs them once, and ``annihilated`` keeps those that its normals all kill.
 
 All reduction goes through ``rref`` and one residual step: ``contains``
 tests that the residuals vanish, ``quotient`` reads coordinates off them,
@@ -275,6 +276,43 @@ def _kernel(basis, v: int, q: int) -> tuple[tuple[int, ...], ...]:
             vec[p] = neg(row[f])
         kernel.append(tuple(vec))
     return rref(kernel, q)
+
+
+def row_masks(rows, v: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """``masks[c][a]``: the bit-packed set of the rows whose coordinate c
+    is a, row i as bit i; what ``annihilated`` reads."""
+    ops_for_order(q)  # checks q before v * q masks are allocated
+    masks = [[0] * q for _ in range(v)]
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for col, a in zip(masks, row):
+            col[a] |= bit
+    return tuple(map(tuple, masks))
+
+
+def annihilated(masks, normals, q: int) -> int:
+    """The bit-packed set of the rows x of ``row_masks`` with n . x = 0 for
+    every normal n; every row when there are no normals.
+
+    Per normal, the rows are split by their partial dot one coordinate at
+    a time, at most q * q mask ANDs each: ``parts[s]`` holds the rows whose
+    dot over the coordinates so far is s."""
+    ops = ops_for_order(q)
+    add, mul = ops._add, ops._mul
+    live = sum(masks[0]) if masks else 0  # coordinate 0's masks are disjoint
+    for n in normals:
+        parts = [live] + [0] * (q - 1)
+        for col, x in zip(masks, n):
+            if x:
+                scale, split = mul[x], [0] * q
+                for s, part in enumerate(parts):
+                    if part:
+                        shift = add[s]
+                        for a, m in enumerate(col):
+                            split[shift[scale[a]]] |= part & m
+                parts = split
+        live = parts[0]
+    return live
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import qgeom
-from qgeom import search
+from qgeom import designs, gf, search
 from qgeom.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -87,6 +87,28 @@ def test_field_payload(capsys):
     assert payload["modulus"] == [1, 1, 1]
     assert payload["mul"][2][2] == 3
     assert payload["inv"][0] is None
+
+
+HUGE_PRIME = 2 ** 61 - 1  # trial division up to its square root takes minutes
+
+
+@pytest.mark.parametrize("command", ["field", "design dual", "design geometric"])
+def test_a_huge_q_is_refused_before_it_is_factored(command, tmp_path, capsys, monkeypatch):
+    def no_factoring(q):
+        raise AssertionError(f"factored q={q}")
+
+    monkeypatch.setattr(gf, "prime_power_decomposition", no_factoring)
+    monkeypatch.setattr(designs, "prime_power_decomposition", no_factoring)
+    if command == "field":
+        argv = ["field", "--q", str(HUGE_PRIME)]
+    else:
+        block = {"v": 2, "k": 1, "q": HUGE_PRIME, "rows": [[1, 0]]}
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps({"v": 2, "k": 1, "q": HUGE_PRIME, "blocks": [block]}))
+        argv = [*command.split(), str(path)]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_ERROR
+    assert err == f"error: q={HUGE_PRIME} exceeds the supported maximum 16\n"
 
 
 def test_usage_error_exit_code(capsys):
@@ -192,8 +214,21 @@ def test_cli_pipeline_loads_neither_numpy_nor_multiprocessing(tmp_path):
         json.loads(proc.stdout.splitlines()[-1])
     assert after_import == after_pipeline == []
     assert codes == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_NONEXISTENCE, EXIT_OK, EXIT_OK]
-    # the elliptic test is the first call that needs numpy
-    assert elliptic is True and after_elliptic == ["numpy"]
+    # the elliptic test runs on bit-packed label rows, without numpy
+    assert elliptic is True and after_elliptic == []
+
+
+def test_only_search_imports_numpy():
+    """numpy serves search.pairwise_intersection_matrix alone, so no other
+    module under qgeom/ may import it."""
+    importers = set()
+    for path in sorted((REPO / "src" / "qgeom").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == "numpy" or name.startswith("numpy.") for name in names):
+                importers.add(path.name)
+    assert importers == {"search.py"}
 
 
 def test_no_module_reads_the_process_environment():

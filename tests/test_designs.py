@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgeom import designs
+from qgeom import designs, gf
 from qgeom.designs import (
     AdmissibilityReport,
     BlockSet,
@@ -417,6 +417,17 @@ def test_geometric_check_of_malformed_block_sets(case, error):
     with pytest.raises(error) as err:
         is_geometric_spread(_malformed_block_set(case))
     assert type(err.value) is error
+
+
+def test_geometric_check_refuses_a_huge_q_before_factoring_it(monkeypatch):
+    def no_factoring(q):
+        raise AssertionError(f"factored q={q}")
+
+    monkeypatch.setattr(designs, "prime_power_decomposition", no_factoring)
+    monkeypatch.setattr(gf, "prime_power_decomposition", no_factoring)
+    huge = BlockSet(v=4, q=2 ** 61 - 1, k=2, blocks=frozenset())
+    with pytest.raises(OutOfRangeError, match="^q=2305843009213693951 exceeds "):
+        is_geometric_spread(huge)
 
 
 def test_nongeometric_witness_from_sampled_spread():

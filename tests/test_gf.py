@@ -4,6 +4,7 @@ extension machinery."""
 
 import pytest
 
+from qgeom import gf
 from qgeom.errors import NotAPrimePowerError, OutOfRangeError
 from qgeom.gf import arith, field_new, field_reduction, prime_power_decomposition
 
@@ -34,6 +35,15 @@ def test_field_new_rejects_large():
         field_new(17)
     with pytest.raises(OutOfRangeError):
         field_new(32)
+
+
+def test_field_new_refuses_a_huge_q_before_factoring_it(monkeypatch):
+    def no_factoring(q):
+        raise AssertionError(f"factored q={q}")
+
+    monkeypatch.setattr(gf, "prime_power_decomposition", no_factoring)
+    with pytest.raises(OutOfRangeError, match="^q=2305843009213693951 exceeds "):
+        field_new(2 ** 61 - 1)
 
 
 def _poly_is_irreducible_over_f2(coeffs):

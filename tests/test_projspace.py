@@ -9,7 +9,7 @@ import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgeom.errors import (
@@ -20,11 +20,12 @@ from qgeom.errors import (
     NotIncidentError,
     OutOfRangeError,
 )
-from qgeom import projspace
+from qgeom import gf, projspace
 from qgeom.gf import arith, field_new, ops_for_order
 from qgeom.projspace import (
     Subspace,
     all_points,
+    annihilated,
     check_point_index,
     contains,
     disjoint_union,
@@ -45,6 +46,7 @@ from qgeom.projspace import (
     q_number,
     quotient,
     restrict_filter,
+    row_masks,
     subspace_from_json,
     subspace_from_rows,
     subspace_points,
@@ -505,6 +507,10 @@ def _row_sets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_row_sets())
+@example((3, 2, [[1, 0], [0, 1]], [[2, 1], [0, 0]]))  # U is the full space: no normals
+@example((4, 3, [[1, 2, 3]], []))  # no rows to test
+@example((8, 4, [[1, 0, 7, 5], [0, 1, 6, 2]], [[1, 0, 7, 5], [3, 4, 0, 0], [0, 0, 0, 0]]))
+@example((9, 5, [[1, 0, 2, 8, 4], [0, 0, 1, 3, 6]], [[1, 0, 0, 4, 0], [2, 0, 4, 7, 8]]))
 def test_row_operations_agree_with_the_method_call_reference(case):
     q, v, rows, others = case
     U = subspace_from_rows(rows, v, q)
@@ -519,6 +525,9 @@ def test_row_operations_agree_with_the_method_call_reference(case):
     assert meet(U, X).basis == _kernel_reference(
         _kernel_reference(rows, v, q) + _kernel_reference(others, v, q), v, q)
     assert dualize(U, dot_form(v, q)).basis == _kernel_reference(U.basis, v, q)
+    inside = [contains(U, subspace_from_rows([r], v, q)) for r in others]
+    assert annihilated(row_masks(others, v, q), projspace._kernel(U.basis, v, q), q) \
+        == mask_of(i for i, ok in enumerate(inside) if ok)
     M, J = meet(U, X), join(U, X)
     for B, P in ((U, M), (J, X), (J, U), (U, U)):
         assert quotient(B, P).basis == _quotient_reference(B, P)
@@ -528,6 +537,15 @@ def test_row_operations_agree_with_the_method_call_reference(case):
         for ci, brow in zip(c.vector, U.basis):
             expected = [ops.add(x, ops.mul(ci, y)) for x, y in zip(expected, brow)]
         assert projspace._combine(c.vector, U.basis, v, ops) == expected
+
+
+def test_row_masks_refuse_a_huge_q_before_factoring_it(monkeypatch):
+    def no_factoring(q):
+        raise AssertionError(f"factored q={q}")
+
+    monkeypatch.setattr(gf, "prime_power_decomposition", no_factoring)
+    with pytest.raises(OutOfRangeError, match="^q=2305843009213693951 exceeds "):
+        row_masks([], 5, 2 ** 61 - 1)
 
 
 def test_subspace_from_rows_rejects_rows_of_the_wrong_width():
