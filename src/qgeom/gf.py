@@ -9,12 +9,16 @@ Arithmetic is backed by full ``q x q`` lookup tables.  With ``q <= 16``
 the tables stay tiny and scalar operations inside enumeration loops are
 plain list indexing.  Extension towers ``F_{q^k}`` over ``F_q`` (the
 field-reduction view of a vector space) are exposed only through their
-multiplication matrices, never through a public element API.
+multiplication matrices, never through a public element API.  One
+multiply-by-root construction (``_mul_matrices``) gives both the
+multiplication matrices of ``F_{q^k}`` and, over ``F_p``, the
+multiplication table of ``F_{p^e}``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,23 +26,26 @@ from .errors import NotAPrimePowerError, OutOfRangeError
 
 MAX_FIELD_ORDER = 16
 MAX_EXTENSION_ORDER = 4096
+_TRIAL_DIVISION_LIMIT = 1 << 16
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
-    """Return (p, e) with q = p^e, or None if q is not a prime power."""
+    """Return (p, e) with q = p^e, or None if q is not a prime power.
+
+    Trial division stops at 2^16, which settles every q below 2^32.  A
+    larger q with no prime factor up to 2^16 raises OutOfRangeError.
+    """
     if q < 2:
         return None
-    p = None
-    d = 2
-    n = q
-    while d * d <= n:
-        if n % d == 0:
-            p = d
+    for p in range(2, min(math.isqrt(q), _TRIAL_DIVISION_LIMIT) + 1):
+        if q % p == 0:
             break
-        d += 1
-    if p is None:
-        p = n
-    e = 0
+    else:
+        if q > _TRIAL_DIVISION_LIMIT ** 2:
+            raise OutOfRangeError(
+                f"q={q} has no prime factor up to 2^16 and is too large to factor")
+        p = q
+    e, n = 0, q
     while n % p == 0:
         n //= p
         e += 1
@@ -48,18 +55,35 @@ def prime_power_decomposition(q: int) -> tuple[int, int] | None:
 # ----------------------------------------------------------------------
 # Polynomial helpers.  Coefficient tuples are ascending degree; the
 # coefficient arithmetic is delegated to a FieldOps instance, so the
-# same code serves F_p towers and F_q towers alike.
+# same code serves F_p^e tables and F_q^k towers alike.
 # ----------------------------------------------------------------------
 
-def _poly_mul(a, b, ops):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = ops.add(out[i + j], ops.mul(ai, bj))
-    return out
+def _mul_matrices(ops, modulus) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The k x k multiplication matrix of each element of F[y]/(modulus),
+    for the field F of ``ops`` and a monic modulus of degree k.
+
+    Elements are indexed by their base-q digits, lowest first, and column
+    j of matrix a holds the digits of a * y^j.  Multiplying by y shifts
+    the digits up and folds the top one back in through y^k = -(modulus
+    tail).
+    """
+    q, k = ops.q, len(modulus) - 1
+    add, mul = ops._add, ops._mul
+    y_k = tuple(ops.neg(c) for c in modulus[:k])
+    mats = []
+    for a in range(q ** k):
+        col = [a // q ** i % q for i in range(k)]
+        cols = [col]
+        for _ in range(k - 1):
+            t = col[k - 1]
+            col = [0] + col[:k - 1]
+            if t:
+                for i, c in enumerate(y_k):
+                    if c:
+                        col[i] = add[col[i]][mul[t][c]]
+            cols.append(col)
+        mats.append(tuple(zip(*cols)))
+    return tuple(mats)
 
 
 def _poly_rem(num, den, ops):
@@ -139,7 +163,7 @@ def field_new(q: int) -> FieldSpec:
     FieldSpec), so canonical subspace forms and golden files are stable
     across builds.
     """
-    if q > MAX_FIELD_ORDER:  # before trial division, which a huge q makes endless
+    if q > MAX_FIELD_ORDER:  # before q is factored
         raise OutOfRangeError(f"q={q} exceeds the supported maximum {MAX_FIELD_ORDER}")
     pp = prime_power_decomposition(q)
     if pp is None:
@@ -168,17 +192,14 @@ class FieldOps:
         else:
             base = arith(field_new(p))
             digits = [tuple(i // p ** j % p for j in range(e)) for i in range(q)]
-            pack = {d: i for i, d in enumerate(digits)}
 
-            def red(poly):
-                c = _poly_rem(poly, spec.modulus, base)
-                c = c + [0] * (e - len(c))
-                return pack[tuple(c[:e])]
+            def index(coeffs):
+                return sum(c * p ** j for j, c in enumerate(coeffs))
 
-            add = [[pack[tuple(base.add(x, y) for x, y in zip(digits[a], digits[b]))]
+            add = [[index(base.add(x, y) for x, y in zip(digits[a], digits[b]))
                     for b in range(q)] for a in range(q)]
-            mul = [[red(_poly_mul(digits[a], digits[b], base)) for b in range(q)]
-                   for a in range(q)]
+            mul = [[index(dot(row, digits[b], base) for row in m) for b in range(q)]
+                   for m in _mul_matrices(base, spec.modulus)]
         self._add = tuple(tuple(r) for r in add)
         self._mul = tuple(tuple(r) for r in mul)
         neg = [0] * q
@@ -293,28 +314,5 @@ def field_reduction(q: int, k: int) -> FieldReduction:
             f"extension order {q}^{k} exceeds the budget {MAX_EXTENSION_ORDER}")
     ops = arith(base)
     modulus = (0, 1) if k == 1 else _smallest_irreducible(k, ops)
-
-    # -modulus tail gives the reduction of y^k; multiplying by y is a
-    # coefficient shift plus that correction.
-    y_k = tuple(ops.neg(c) for c in modulus[:k])
-
-    def times_y(col):
-        t = col[k - 1]
-        out = [0] + list(col[: k - 1])
-        if t:
-            for i in range(k):
-                if y_k[i]:
-                    out[i] = ops.add(out[i], ops.mul(t, y_k[i]))
-        return tuple(out)
-
-    mats = []
-    for a in range(order):
-        col = tuple(a // q ** i % q for i in range(k))
-        cols = [col]
-        for _ in range(k - 1):
-            col = times_y(col)
-            cols.append(col)
-        mats.append(tuple(tuple(cols[c][r] for c in range(k)) for r in range(k)))
     return FieldReduction(base=base, k=k, order=order, modulus=modulus,
-                          mul_matrices=tuple(mats))
-
+                          mul_matrices=_mul_matrices(ops, modulus))

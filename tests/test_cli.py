@@ -111,6 +111,26 @@ def test_a_huge_q_is_refused_before_it_is_factored(command, tmp_path, capsys, mo
     assert err == f"error: q={HUGE_PRIME} exceeds the supported maximum 16\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--t", "1", "--v", "2", "--k", "1", "--l", "1", "--q", str(HUGE_PRIME)],
+    ["design", "check", "blocks.json", "--t", "1", "--v", "4", "--k", "2", "--l", "1",
+     "--q", str(HUGE_PRIME)],
+], ids=["lambda", "design check"])
+def test_a_huge_prime_q_ends_in_one_error_line(argv, tmp_path):
+    """Trial division stops at 2^16, so a huge prime q is refused at once.
+    The command runs in its own process with a timeout, so a return of
+    the endless factoring fails the test instead of hanging the suite."""
+    (tmp_path / "blocks.json").write_text(json.dumps({"v": 4, "k": 2, "q": 2, "blocks": []}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "qgeom.cli", *argv], capture_output=True,
+                          text=True, cwd=tmp_path, env=env, timeout=10)
+    assert (proc.returncode, proc.stdout) == (EXIT_ERROR, "")
+    assert proc.stderr == (f"error: q={HUGE_PRIME} has no prime factor up to 2^16 "
+                           "and is too large to factor\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lambda", "--t", "2"])
@@ -327,6 +347,27 @@ def test_gq_build_is_byte_identical(tmp_path, capsys):
     run(capsys, "gq", "build", "--type", "Q4", "--q", "3", "--out", str(a))
     run(capsys, "gq", "build", "--type", "Q4", "--q", "3", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+FIELD_SHA256 = {
+    2: "bf03dd0ca2a4afbbab0daf4c3c070837e4c7631280725361c7553406aca427d9",
+    3: "0e5f01f29a99bc3c0d51e6cfb78dfdf87fe9d17963df0793b28433a2f1107b0f",
+    4: "132816b35028201ace0b8ee182343021414ee0f60353916ec87ad5586c88f665",
+    5: "45187805ac5c30cffe29bb7bc6f47f1f7eef2b9592897d61d26795d0e82fbc3c",
+    7: "a3c30f653e08e4730788c41b9183f5962bfab965d59c95b42745438355113748",
+    8: "0e8612fb30a2a14cb0056cf213e38cfc85894e21bae41d5abe700a92d3e7c9fb",
+    9: "6d2fd820c8ec1d38d24789cf433dbdb4381a6056cb0c56310a67141f0c40e576",
+    11: "5f8ab1700679650ed6ac7b2786e1f6febf2d72832d275701b822dd34ab1a51fe",
+    13: "03bd4d4073f398a083fb46e6b199573d62501f5012ca6a071cb91a4ecb596292",
+    16: "34e357710be673f884f7291fb744f8593c000bf330ed1fe32f2e838b91d20786",
+}
+
+
+@pytest.mark.parametrize("q", sorted(FIELD_SHA256))
+def test_field_payload_digest_is_pinned(q, tmp_path, capsys):
+    out = tmp_path / "field.json"
+    assert run(capsys, "field", "--q", str(q), "--out", str(out))[0] == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIELD_SHA256[q]
 
 
 GQ_BUILD_SHA256 = {

@@ -2,6 +2,8 @@
 spec'd examples, and independent polynomial/matrix oracles for the
 extension machinery."""
 
+import hashlib
+
 import pytest
 
 from qgeom import gf
@@ -18,6 +20,11 @@ def test_prime_power_decomposition():
     assert prime_power_decomposition(6) is None
     assert prime_power_decomposition(12) is None
     assert prime_power_decomposition(1) is None
+    assert prime_power_decomposition(2 ** 40) == (2, 40)
+    assert prime_power_decomposition(65521 ** 2) == (65521, 2)
+    assert prime_power_decomposition(4294967291) == (4294967291, 1)  # largest prime < 2^32
+    with pytest.raises(OutOfRangeError, match="^q=2305843009213693951 has no prime factor"):
+        prime_power_decomposition(2 ** 61 - 1)
 
 
 def test_field_new_prime():
@@ -75,27 +82,36 @@ def test_f5_inverse():
     assert arith(field_new(5)).inv(2) == 3
 
 
-def _f4_mul_oracle(a, b):
-    # polynomial multiplication modulo x^2 + x + 1 over F_2, independent
-    # of the table construction
-    da = (a & 1, a >> 1)
-    db = (b & 1, b >> 1)
-    prod = [0, 0, 0]
-    for i in range(2):
-        for j in range(2):
-            prod[i + j] ^= da[i] & db[j]
-    # reduce x^2 -> x + 1
-    prod[0] ^= prod[2]
-    prod[1] ^= prod[2]
-    return prod[0] | (prod[1] << 1)
+def _poly_mul_oracle(a, b, ops, modulus):
+    """Independent polynomial multiplication modulo ``modulus`` over the
+    field of ``ops``, on elements given by their base-q digits."""
+    q = ops.q
+    k = len(modulus) - 1
+    da = [a // q ** i % q for i in range(k)]
+    db = [b // q ** i % q for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] = ops.add(prod[i + j], ops.mul(da[i], db[j]))
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        if c == 0:
+            continue
+        for j, mj in enumerate(modulus):
+            prod[i - k + j] = ops.sub(prod[i - k + j], ops.mul(c, mj))
+    return sum(ci * q ** i for i, ci in enumerate(prod[:k]))
 
 
-def test_f4_multiplication_against_polynomial_oracle():
-    ops = arith(field_new(4))
-    for a in range(4):
-        for b in range(4):
-            assert ops.mul(a, b) == _f4_mul_oracle(a, b)
-    assert ops.mul(2, 2) == 3  # x * x = x + 1
+@pytest.mark.parametrize("q", [4, 8, 9, 16])
+def test_multiplication_against_polynomial_oracle(q):
+    spec = field_new(q)
+    ops, prime = arith(spec), arith(field_new(spec.p))
+    for a in range(q):
+        for b in range(q):
+            assert ops.mul(a, b) == _poly_mul_oracle(a, b, prime, spec.modulus)
+    # the root x to the power e is minus the modulus tail; for q = 4, x * x = x + 1
+    tail = sum((-c) % spec.p * spec.p ** i for i, c in enumerate(spec.modulus[:-1]))
+    assert ops.mul(spec.p, ops.pow(spec.p, spec.e - 1)) == tail
 
 
 @pytest.mark.parametrize("q", ALL_ORDERS)
@@ -203,26 +219,6 @@ def test_reduction_degree_one_is_scalars(q):
     assert red.mul_matrices == tuple(((a,),) for a in range(q))
 
 
-def _ext_mul_oracle(a, b, red):
-    """Independent polynomial multiplication in the tower."""
-    q = red.base.q
-    ops = arith(red.base)
-    k = red.k
-    da = [a // q ** i % q for i in range(k)]
-    db = [b // q ** i % q for i in range(k)]
-    prod = [0] * (2 * k - 1)
-    for i in range(k):
-        for j in range(k):
-            prod[i + j] = ops.add(prod[i + j], ops.mul(da[i], db[j]))
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c == 0:
-            continue
-        for j, mj in enumerate(red.modulus):
-            prod[i - k + j] = ops.sub(prod[i - k + j], ops.mul(c, mj))
-    return sum(ci * q ** i for i, ci in enumerate(prod[:k]))
-
-
 @pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (2, 3), (2, 6), (4, 2), (5, 2), (3, 4)])
 def test_reduction_homomorphism(q, k):
     red = field_reduction(q, k)
@@ -242,7 +238,21 @@ def test_reduction_homomorphism(q, k):
         if order <= 64 else ((a, b) for a in range(0, order, 5)
                              for b in range(0, order, 7))
     for a, b in pairs:
-        assert mats[_ext_mul_oracle(a, b, red)] == matmul(mats[a], mats[b])
+        assert mats[_poly_mul_oracle(a, b, ops, red.modulus)] == matmul(mats[a], mats[b])
+
+
+# sha256 of repr(mul_matrices) for the largest towers over F_2, F_3 and F_16
+REDUCTION_SHA256 = {
+    (2, 12): "bc5bb443a01f7731e1ece92fc51677ab4159aa6b47e5101d74c6072a55ca2440",
+    (3, 7): "5a5ae5330b7dc1133820915a69b19ca0b7af74222ca7e3b06abc52d6cc592b90",
+    (16, 3): "1d320bccc8b53b9d18177f619c621f6769f63eea9f67bba436de0e9309dc2eb9",
+}
+
+
+@pytest.mark.parametrize("q,k", sorted(REDUCTION_SHA256))
+def test_reduction_matrices_digest_is_pinned(q, k):
+    mats = field_reduction(q, k).mul_matrices
+    assert hashlib.sha256(repr(mats).encode()).hexdigest() == REDUCTION_SHA256[q, k]
 
 
 def _sum_mod(ops, items):
