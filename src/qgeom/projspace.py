@@ -13,12 +13,13 @@ in ``designs`` (Desarguesian spread blocks, ``cone_over`` lifts) are
 RREF by construction and are wrapped by ``_canonical`` without the check.
 
 A subspace's point mask (``point_mask``) is computed on first use and
-memoized on that subspace object, so it lives exactly as long as the
-subspace does.  Hot verification loops test containment within one
-ambient space as a mask subset test, ``inner & ~outer == 0``, after
-``require_ambient``; ``contains`` stays the row-reduction test for
-subspaces that are used once.  Many rows against one subspace: ``row_masks``
-packs them once, and ``annihilated`` keeps those that its normals all kill.
+memoized on that subspace object, so it lives as long as the caller keeps
+that object; enumeration keeps no subspace of its own.  Hot verification
+loops test containment within one ambient space as a mask subset test,
+``inner & ~outer == 0``, after ``require_ambient``; ``contains`` stays the
+row-reduction test for subspaces that are used once.  Many rows against
+one subspace: ``row_masks`` packs them once, and ``annihilated`` keeps
+those that its normals all kill.
 
 All reduction goes through ``rref`` and one residual step: ``contains``
 tests that the residuals vanish, ``quotient`` reads coordinates off them,
@@ -179,24 +180,11 @@ def enumerate_subspaces(v: int, k: int, spec: FieldSpec) -> list[Subspace]:
 
     Generation runs over pivot-column patterns with the non-pivot
     entries filled from F_q, then sorts canonically.  Guarded by
-    ENUMERATION_BUDGET to fail fast on desk-scale overruns.  Results are
-    cached per (v, k, q); a fresh list over the shared immutable
-    subspaces is returned each call.
+    ENUMERATION_BUDGET to fail fast on desk-scale overruns.  Each call
+    builds new subspace objects and keeps none of them, so a
+    Grassmannian is freed when its caller drops the list.
     """
-    return list(_enumerate_cached(v, k, spec.q))
-
-
-def require_enumerable(v: int, k: int, q: int) -> None:
-    """Raise BudgetExceededError when the k-subspaces of F_q^v number
-    more than ENUMERATION_BUDGET."""
-    count = gaussian_binomial(v, k, q)
-    if count > ENUMERATION_BUDGET:
-        raise BudgetExceededError(
-            f"{count} subspaces exceed the enumeration budget {ENUMERATION_BUDGET}")
-
-
-@lru_cache(maxsize=None)
-def _enumerate_cached(v: int, k: int, q: int) -> tuple[Subspace, ...]:
+    q = spec.q
     require_enumerable(v, k, q)
     bases = []
     for pivots in itertools.combinations(range(v), k):
@@ -207,7 +195,16 @@ def _enumerate_cached(v: int, k: int, q: int) -> tuple[Subspace, ...]:
             per_row.append(itertools.product(*entries))
         bases.extend(itertools.product(*per_row))
     bases.sort()
-    return tuple(_canonical(v, k, q, basis) for basis in bases)
+    return [_canonical(v, k, q, basis) for basis in bases]
+
+
+def require_enumerable(v: int, k: int, q: int) -> None:
+    """Raise BudgetExceededError when the k-subspaces of F_q^v number
+    more than ENUMERATION_BUDGET."""
+    count = gaussian_binomial(v, k, q)
+    if count > ENUMERATION_BUDGET:
+        raise BudgetExceededError(
+            f"{count} subspaces exceed the enumeration budget {ENUMERATION_BUDGET}")
 
 
 def require_ambient(v: int, q: int, subspaces) -> None:

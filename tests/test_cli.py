@@ -265,6 +265,39 @@ def test_no_module_reads_the_process_environment():
     assert found == []
 
 
+# Every process-lifetime cache in qgeom/ and the key that bounds it.  A
+# cache keyed by anything larger, such as a Grassmannian per (v, k, q),
+# would pin what its callers drop; a new cache joins this list on purpose.
+PROCESS_CACHES = {
+    "gf.field_new": "q <= 16",
+    "gf.arith": "one FieldSpec per q",
+    "gf.ops_for_order": "q <= 16",
+    "gq.build_w": "q <= 16",
+    "gq.build_q4": "q <= 16",
+    "projspace._point_data": "(v, q), the points of PG(v-1, q)",
+    "projspace._gram_rank": "(form, q)",
+    "cli.build_parser": "no argument",
+}
+
+
+def test_every_process_lifetime_cache_is_listed():
+    """functools.lru_cache and functools.cache keep their entries for the
+    life of the process, so each function they decorate must be listed in
+    PROCESS_CACHES."""
+    cached = set()
+    for path in sorted((REPO / "src" / "qgeom").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = (target.attr if isinstance(target, ast.Attribute)
+                        else getattr(target, "id", None))
+                if name in {"lru_cache", "cache"}:
+                    cached.add(f"{path.stem}.{node.name}")
+    assert cached == set(PROCESS_CACHES)
+
+
 def _option_strings(parser):
     """Every option string of parser and of its subparsers, recursively."""
     flags = set()

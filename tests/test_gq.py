@@ -1,6 +1,8 @@
 """Generalized quadrangle tests: the classical constructions, axiom
 checking on hand-verifiable toys, duality, and isomorphism search."""
 
+import importlib
+import pkgutil
 from dataclasses import replace
 from functools import lru_cache
 
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qgeom import projspace
+import qgeom
+from qgeom import designs, projspace, search
 from qgeom.errors import (
     AmbientMismatchError,
     BudgetExceededError,
@@ -137,8 +140,13 @@ def test_builds_equal_the_walk_over_every_line_without_enumerating(q, monkeypatc
     def no_enumeration(*args):
         raise AssertionError("a build enumerated the subspaces of PG(v-1,q)")
 
-    monkeypatch.setattr(projspace, "enumerate_subspaces", no_enumeration)
-    monkeypatch.setattr(projspace, "_enumerate_cached", no_enumeration)
+    # every qgeom module that binds the name, so no caller slips past the patch
+    modules = [importlib.import_module(f"qgeom.{m.name}")
+               for m in pkgutil.iter_modules(qgeom.__path__)]
+    binders = [mod for mod in modules if hasattr(mod, "enumerate_subspaces")]
+    assert {projspace, search, designs} <= set(binders)
+    for mod in binders:
+        monkeypatch.setattr(mod, "enumerate_subspaces", no_enumeration)
     # __wrapped__ skips the lru_cache, so the builds run under the patch
     assert (build_w.__wrapped__(q), build_q4.__wrapped__(q)) == walked
 

@@ -5,8 +5,10 @@ Gaussian binomial product formula versus RREF generation, plus (for the
 small cases) a span-closure oracle that never touches echelon forms.
 """
 
+import gc
 import hashlib
 import itertools
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,6 +142,18 @@ def test_enumeration_basics():
 def test_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError):
         enumerate_subspaces(24, 12, F2)
+
+
+def test_enumeration_keeps_nothing_after_the_caller_drops_it():
+    first = enumerate_subspaces(5, 2, F3)
+    second = enumerate_subspaces(5, 2, F3)
+    assert second == first == sorted(first) and len(first) == gaussian_binomial(5, 2, 3)
+    probe = weakref.ref(first[0])
+    first.clear()  # a caller's list is its own
+    assert enumerate_subspaces(5, 2, F3) == second
+    del first, second
+    gc.collect()
+    assert probe() is None
 
 
 # ----------------------------------------------------------------------
