@@ -4,7 +4,6 @@ quotients and line pencils.
 
 from qgeom.gf import field_new
 from qgeom.projspace import (
-    all_points,
     contains,
     dot_form,
     dualize,
@@ -13,7 +12,7 @@ from qgeom.projspace import (
     join,
     line_pencil,
     meet,
-    point_to_subspace,
+    point_at,
     q_number,
     quotient,
     restrict_filter,
@@ -51,15 +50,14 @@ print("checked inclusion reversal against five planes")
 
 print("\n== line pencils and filters ==")
 E = planes[0]
-P = point_to_subspace(subspace_points(E)[0], 4, 2)
+P = subspace_points(E)[0]  # a point is its 1-subspace
 pencil = line_pencil(P, E)
 print(f"the pencil of lines through a point inside a plane has {len(pencil)} members")
 through_p = restrict_filter(lines, P, enumerate_subspaces(4, 4, F2)[0])
 print(f"lines of PG(3,2) through one point: {len(through_p)} (= [3]_2)")
 
 print("\n== quotients ==")
-pts6 = all_points(6, F2)
-P6 = point_to_subspace(pts6[0], 6, 2)
+P6 = point_at(0, 6, 2)
 plane6 = next(E for E in enumerate_subspaces(6, 3, F2) if contains(E, P6))
 print(f"a plane through P in F_2^6 quotients to a {quotient(plane6, P6).k}-subspace "
       f"of the 5-dimensional quotient frame")

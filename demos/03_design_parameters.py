@@ -19,7 +19,7 @@ from qgeom.designs import (
     lambda_s,
 )
 from qgeom.gf import field_new
-from qgeom.projspace import all_points, dot_form, enumerate_subspaces
+from qgeom.projspace import dot_form, enumerate_subspaces, point_at
 
 F2 = field_new(2)
 
@@ -53,7 +53,7 @@ print("\n== dual and derived designs ==")
 print(f"dual parameters of 2-(7,3,1)_2: {dual_params(DesignParams(2, 7, 3, 1, 2))}")
 dual, dp = dual_design(spread, dot_form(4, 2), DesignParams(1, 4, 2, 1, 2))
 print(f"the dual of the spread is a {dp} design: {is_design(dual, dp).ok}")
-P = all_points(4, F2)[6]
+P = point_at(6, 4, 2)
 der = derived_design(spread, P)
 print(f"derived design of the spread at a point: {len(der)} block of "
       f"dimension {der.k} in F_2^{der.v}")

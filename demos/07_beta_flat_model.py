@@ -21,7 +21,7 @@ from qgeom.designs import (
     is_design,
 )
 from qgeom.gf import field_new
-from qgeom.projspace import contains, full_space, meet, point_to_subspace, subspace_points
+from qgeom.projspace import contains, full_space, meet, point_mask
 
 for q in (2, 3):
     print(f"== q = {q} ==")
@@ -39,9 +39,8 @@ for q in (2, 3):
     assert ok
 
     cls = classify_solids(blocks, F)
-    apex_sub = point_to_subspace(apex, 5, q)
-    assert all(contains(S, apex_sub) for S in cls.rich)
-    assert all(not contains(S, apex_sub) for S in cls.poor)
+    assert all(contains(S, apex) for S in cls.rich)
+    assert all(not contains(S, apex) for S in cls.poor)
     print(f"(b) {len(cls.rich)} rich solids (all through the focal point), "
           f"{len(cls.poor)} poor ones (all missing it); "
           f"expected {q**3 + q**2 + q + 1} and {q**4}")
@@ -51,12 +50,12 @@ for q in (2, 3):
     for S in sorted(cls.poor):
         traces = {meet(B, S) for B in blocks.blocks}
         assert all(t.k == 2 for t in traces) and len(traces) == q * q + 1
-        covered = set()
+        covered = 0
         for t in traces:
-            pts = {p.index for p in subspace_points(t)}
+            pts = point_mask(t)
             assert not pts & covered
             covered |= pts
-        assert covered == {p.index for p in subspace_points(S)}
+        assert covered == point_mask(S)
         checked += 1
     print(f"(c) the plane traces on each of the {checked} poor solids form "
           "a line spread of it")

@@ -36,11 +36,10 @@ from .projspace import (
     ENUMERATION_BUDGET,
     SCHEMA_VERSION,
     BilinearForm,
-    PointId,
     Subspace,
     _canonical,
     _kernel,
-    all_points,
+    _point_ids,
     annihilated,
     bit_ids,
     contains,
@@ -52,9 +51,8 @@ from .projspace import (
     json_object,
     mask_of,
     meet,
+    point_at,
     point_mask,
-    point_of_vector,
-    point_to_subspace,
     q_number,
     quotient,
     require_ambient,
@@ -220,10 +218,14 @@ def dual_design(blocks: BlockSet, form: BilinearForm,
     return out, (dual_params(params) if params is not None else None)
 
 
-def derived_design(blocks: BlockSet, P: PointId) -> BlockSet:
-    """Der_P: blocks through P, quotiented by P, in the fixed frame on V/P."""
-    Psub = point_to_subspace(P, blocks.v, blocks.q)
-    der = frozenset(quotient(B, Psub) for B in blocks.blocks if contains(B, Psub))
+def derived_design(blocks: BlockSet, P: Subspace) -> BlockSet:
+    """Der_P: blocks through the point P, quotiented by P, in the fixed
+    frame on V/P.  AmbientMismatchError if P does not lie in the block
+    set's space, ValueError if P is not a point."""
+    require_ambient(blocks.v, blocks.q, (P,))
+    if P.k != 1:
+        raise ValueError(f"a derived design is taken at a point, not at a {P.k}-subspace")
+    der = frozenset(quotient(B, P) for B in blocks.blocks if contains(B, P))
     return BlockSet(v=blocks.v - 1, q=blocks.q, k=blocks.k - 1, blocks=der)
 
 
@@ -262,19 +264,20 @@ def desarguesian_spread(v: int, k: int, spec: FieldSpec) -> BlockSet:
     return BlockSet(v=v, q=q, k=k, blocks=frozenset(blocks))
 
 
-def spread_holes(blocks: BlockSet) -> frozenset[PointId]:
+def spread_holes(blocks: BlockSet) -> frozenset[Subspace]:
     """Points not covered by any block of a partial spread.
 
     Raises NotPartialSpreadError if some point is covered twice; the
     witness is the lowest such point on the first block (in canonical
     order) that meets an earlier one.
     """
-    points = all_points(blocks.v, field_new(blocks.q))
+    v, q = blocks.v, blocks.q
+    n_points = len(_point_ids(v, q))  # checks q, even when no block's mask would
     cover, twice = disjoint_union(map(point_mask, blocks.sorted_blocks()))
     if twice:
-        p = points[(twice & -twice).bit_length() - 1]
-        raise NotPartialSpreadError(f"point {p.vector} is covered more than once", witness=p)
-    return frozenset(points[i] for i in bit_ids(~cover & ((1 << len(points)) - 1)))
+        p = point_at((twice & -twice).bit_length() - 1, v, q)
+        raise NotPartialSpreadError(f"point {p.basis[0]} is covered more than once", witness=p)
+    return frozenset(point_at(i, v, q) for i in bit_ids(~cover & ((1 << n_points) - 1)))
 
 
 @dataclass(frozen=True)
@@ -339,7 +342,7 @@ def _first_bad_join(block_list, block_masks, target: int) -> GeometricReport:
     raise RuntimeError("internal: the walk found a join that the scan does not")
 
 
-def is_alpha_point(blocks: BlockSet, P: PointId) -> bool:
+def is_alpha_point(blocks: BlockSet, P: Subspace) -> bool:
     """Whether the derived block family at P is a geometric line spread.
 
     Raises DerivedNotASpreadError when the derived family is not a
@@ -373,7 +376,7 @@ class BetaFlatReport:
     """
 
     flat: Subspace
-    focal: PointId | None
+    focal: Subspace | None
     block_count: int
 
 
@@ -389,11 +392,9 @@ def beta_flat_focus(blocks: BlockSet, F: Subspace) -> BetaFlatReport:
     for B in inside[1:]:
         common = meet(common, B)
         if common.k == 0:
-            return BetaFlatReport(flat=F, focal=None, block_count=len(inside))
-    if common.k != 1:
-        return BetaFlatReport(flat=F, focal=None, block_count=len(inside))
-    focal = point_of_vector(common.basis[0], F.v, F.q)
-    return BetaFlatReport(flat=F, focal=focal, block_count=len(inside))
+            break
+    return BetaFlatReport(flat=F, focal=common if common.k == 1 else None,
+                          block_count=len(inside))
 
 
 @dataclass(frozen=True)
@@ -429,7 +430,7 @@ def classify_solids(blocks: BlockSet, within: Subspace) -> SolidClassification:
     return SolidClassification(rich=frozenset(rich), poor=frozenset(poor))
 
 
-def cone_over(blocks: BlockSet) -> tuple[BlockSet, PointId]:
+def cone_over(blocks: BlockSet) -> tuple[BlockSet, Subspace]:
     """Lift every block into one extra coordinate and join with the new
     unit point (the apex).  The derived design at the apex recovers the
     original block set."""
@@ -439,7 +440,7 @@ def cone_over(blocks: BlockSet) -> tuple[BlockSet, PointId]:
     for B in blocks.blocks:  # the apex row's pivot is the new last column
         rows = tuple(r + (0,) for r in B.basis) + (apex_vec,)
         lifted.append(_canonical(v2, blocks.k + 1, blocks.q, rows))
-    apex = point_of_vector(apex_vec, v2, blocks.q)
+    apex = _canonical(v2, 1, blocks.q, (apex_vec,))
     return (BlockSet(v=v2, q=blocks.q, k=blocks.k + 1, blocks=frozenset(lifted)),
             apex)
 

@@ -30,7 +30,7 @@ from .projspace import (
     _canonical,
     _combine,
     _kernel,
-    all_points,
+    _point_ids,
     annihilated,
     bit_ids,
     disjoint_union,
@@ -168,17 +168,15 @@ def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
     leading position leaves a complement C of a, which each such line
     meets in one normalized point b = x C, x in PG(v-3,q).
 
-    A line's lowest point in ``all_points`` order is the one leading at
-    its second pivot.  Taking from a only the b that lead before a finds
-    each line once, with (b, a) its RREF basis, so the sorted bases are
-    the lines in ``enumerate_subspaces`` order.
+    A line's lowest point in id order is the one leading at its second
+    pivot.  Taking from a only the b that lead before a finds each line
+    once, with (b, a) its RREF basis, so the sorted bases are the lines
+    in ``enumerate_subspaces`` order.
     """
-    spec = field_new(q)  # raises OutOfRangeError beyond 16
+    field_new(q)  # raises OutOfRangeError beyond 16
     ops = ops_for_order(q)
-    zeroes = [p for p in all_points(v, spec)
-              if form_value(quadratic, p.vector, p.vector, q) == 0]
-    idx = {p.vector: i for i, p in enumerate(zeroes)}
-    coords = all_points(v - 2, spec)
+    zeroes = [a for a in _point_ids(v, q) if form_value(quadratic, a, a, q) == 0]
+    idx = {a: i for i, a in enumerate(zeroes)}
     bases = []
     for a in idx:
         normal = [dot(row, a, ops) for row in polar.gram]  # a^perp = {x : normal . x = 0}
@@ -192,16 +190,16 @@ def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
                 row[j], row[last] = 1, scale[normal[j]]
                 rest.append(row)
         before = lead - (last < lead)  # the rows of rest with pivot before lead
-        for x in coords:
-            if x.vector.index(1) < before:
-                b = tuple(_combine(x.vector, rest, v, ops))
+        for x in _point_ids(v - 2, q):  # the points of PG(v-3,q)
+            if x.index(1) < before:
+                b = tuple(_combine(x, rest, v, ops))
                 if b in idx:
                     bases.append((b, a))
     bases.sort()
     return incidence_from_lines(  # the points b + y a, then a
         len(zeroes), [[idx[tuple(_combine((1, y), L, v, ops))] for y in range(q)] + [idx[L[1]]]
                       for L in bases],
-        point_labels=tuple(_canonical(v, 1, q, (p.vector,)) for p in zeroes),
+        point_labels=tuple(_canonical(v, 1, q, (a,)) for a in zeroes),
         line_labels=tuple(_canonical(v, 2, q, L) for L in bases))
 
 

@@ -2,13 +2,17 @@
 
 Subspaces are kept in reduced row-echelon form with leftmost pivots, so
 equality of subspaces is equality of canonical matrices and subspaces can
-be hashed and placed in sets.  Points (1-subspaces) additionally get dense
-integer ids by the lexicographic rank of their normalized vector; all
-incidence data downstream is bit-packed over these ids.
+be hashed and placed in sets.  A point is a 1-subspace, whose RREF row is
+its normalized vector (first nonzero entry 1).  Points have dense integer
+ids, the lexicographic rank of that vector, and all incidence data
+downstream is bit-packed over these ids.  One cached table,
+``_point_ids``, maps each normalized vector to its id, with its keys listed
+in id order; ``point_at`` finds the point of an id by arithmetic, without
+the table.
 
 A basis is validated where it enters from outside: the public
 ``Subspace(...)`` constructor and ``subspace_from_json``.  Bases built
-here (``rref`` output, enumeration, points, the zero and full space) and
+here (``rref`` output, enumeration, ``point_at``, the zero and full space) and
 in ``designs`` (Desarguesian spread blocks, ``cone_over`` lifts) are
 RREF by construction and are wrapped by ``_canonical`` without the check.
 
@@ -132,8 +136,12 @@ class Subspace:
             raise ValueError(f"dimension k={self.k} outside [0, {self.v}]")
         if len(self.basis) != self.k or any(len(r) != self.v for r in self.basis):
             raise ValueError("basis shape does not match (k, v)")
+        ops_for_order(self.q)  # field_new(q) once per q: raises unless q is a field order
         pivots = []
         for row in self.basis:
+            for x in row:
+                if type(x) is not int or not 0 <= x < self.q:
+                    raise ValueError(f"basis entries must be field elements in [0, {self.q})")
             p = next((c for c, x in enumerate(row) if x), None)
             if p is None or row[p] != 1:
                 raise ValueError("basis is not in reduced row-echelon form")
@@ -150,9 +158,13 @@ class Subspace:
 
     @cached_property
     def _point_mask(self) -> int:
+        ids = _point_ids(self.v, self.q)
         if self.k == 1:  # the RREF row of a point is its normalized vector
-            return 1 << _point_data(self.v, self.q)[1][self.basis[0]]
-        return mask_of(p.index for p in subspace_points(self))
+            return 1 << ids[self.basis[0]]
+        ops = ops_for_order(self.q)
+        # a normalized coordinate row times an RREF basis is normalized
+        return mask_of(ids[tuple(_combine(c, self.basis, self.v, ops))]
+                       for c in _point_ids(self.k, self.q))
 
 
 def _canonical(v: int, k: int, q: int, basis) -> Subspace:
@@ -316,30 +328,15 @@ def annihilated(masks, normals, q: int) -> int:
 # Points
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointId:
-    """A point of PG(v-1, q): normalized vector plus dense integer id."""
-
-    vector: tuple[int, ...]
-    index: int
-
-
 @lru_cache(maxsize=None)
-def _point_data(v: int, q: int):
+def _point_ids(v: int, q: int) -> dict[tuple[int, ...], int]:
+    """Each normalized vector of F_q^v to the id of its point, with the
+    keys listed in id order: more leading zeros first, then the tail
+    after the leading 1 in lexicographic order."""
     field_new(q)  # validate q
-    vectors = []
-    for lead in range(v):
-        for tail in itertools.product(range(q), repeat=v - lead - 1):
-            vectors.append((0,) * lead + (1,) + tail)
-    vectors.sort()
-    points = tuple(PointId(vector=vec, index=i) for i, vec in enumerate(vectors))
-    return points, {vec: i for i, vec in enumerate(vectors)}
-
-
-def all_points(v: int, spec: FieldSpec) -> tuple[PointId, ...]:
-    """The [v]_q points of PG(v-1, q) in lexicographic order of their
-    normalized representative."""
-    return _point_data(v, spec.q)[0]
+    vectors = ((0,) * lead + (1,) + tail for lead in reversed(range(v))
+               for tail in itertools.product(range(q), repeat=v - lead - 1))
+    return {vec: i for i, vec in enumerate(vectors)}
 
 
 def check_point_index(index: int, v: int, q: int) -> None:
@@ -352,8 +349,9 @@ def check_point_index(index: int, v: int, q: int) -> None:
         raise OutOfRangeError(f"point index {index} outside PG({v - 1},{q})")
 
 
-def point_at(index: int, v: int, q: int) -> PointId:
-    """``all_points(v, q)[index]`` by arithmetic, without building the points.
+def point_at(index: int, v: int, q: int) -> Subspace:
+    """The point with id ``index`` of PG(v-1, q), by arithmetic, without
+    building the id table.
 
     Points with more leading zeros come first; within one leading
     position the tail is the base-q digits of the offset.
@@ -364,7 +362,7 @@ def point_at(index: int, v: int, q: int) -> PointId:
         offset -= q ** tail_len
         tail_len += 1
     tail = tuple(offset // q ** i % q for i in reversed(range(tail_len)))
-    return PointId(vector=(0,) * (v - tail_len - 1) + (1,) + tail, index=index)
+    return _canonical(v, 1, q, ((0,) * (v - tail_len - 1) + (1,) + tail,))
 
 
 def normalize_vector(vec, q: int) -> tuple[int, ...]:
@@ -380,30 +378,22 @@ def normalize_vector(vec, q: int) -> tuple[int, ...]:
 
 
 def point_index(vec, v: int, q: int) -> int:
-    return _point_data(v, q)[1][normalize_vector(vec, q)]
+    """The id of the point spanned by a nonzero vector of F_q^v.
+
+    AmbientMismatchError when the vector's length is not v, ValueError
+    when an entry is not an element of F_q.
+    """
+    vec = tuple(vec)
+    if len(vec) != v:
+        raise AmbientMismatchError(f"vector {vec} does not lie in F_{q}^{v}")
+    if any(type(x) is not int or not 0 <= x < q for x in vec):
+        raise ValueError(f"vector {vec} has an entry outside F_{q}")
+    return _point_ids(v, q)[normalize_vector(vec, q)]
 
 
-def point_of_vector(vec, v: int, q: int) -> PointId:
-    return _point_data(v, q)[0][point_index(vec, v, q)]
-
-
-def point_to_subspace(P: PointId, v: int, q: int) -> Subspace:
-    """The 1-subspace of P; AmbientMismatchError if P is not a point of PG(v-1, q)."""
-    if P != point_at(P.index, v, q):
-        raise AmbientMismatchError(f"point {P.vector} is not point {P.index} of PG({v - 1},{q})")
-    return _canonical(v, 1, q, (P.vector,))
-
-
-def subspace_points(U: Subspace) -> tuple[PointId, ...]:
-    """The [k]_q points lying on U, as PointIds of the ambient space."""
-    if U.k == 0:
-        return ()
-    ops = ops_for_order(U.q)
-    points, index = _point_data(U.v, U.q)
-    # a normalized coordinate row times an RREF basis is normalized
-    ids = sorted(index[tuple(_combine(c.vector, U.basis, U.v, ops))]
-                 for c in _point_data(U.k, U.q)[0])
-    return tuple(points[i] for i in ids)
+def subspace_points(U: Subspace) -> tuple[Subspace, ...]:
+    """The [k]_q points lying on U, in id order."""
+    return tuple(point_at(i, U.v, U.q) for i in bit_ids(point_mask(U)))
 
 
 def _combine(coeffs, rows, v: int, ops) -> list[int]:
@@ -557,8 +547,8 @@ def line_pencil(P: Subspace, E: Subspace) -> list[Subspace]:
         raise NotIncidentError("the point does not lie in the plane")
     lines = set()
     for Q in subspace_points(E):
-        if Q.vector != P.basis[0]:
-            lines.add(join(P, point_to_subspace(Q, E.v, E.q)))
+        if Q != P:
+            lines.add(join(P, Q))
     return sorted(lines)
 
 

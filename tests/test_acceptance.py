@@ -32,13 +32,12 @@ from qgeom.gq import (
     is_isomorphic,
 )
 from qgeom.projspace import (
-    all_points,
     contains,
     enumerate_subspaces,
     full_space,
     gaussian_binomial,
     meet,
-    point_to_subspace,
+    point_index,
     subspace_points,
 )
 from qgeom.search import (
@@ -198,23 +197,21 @@ def test_accept_10_beta_flat_micro_model(q):
     spec = field_new(q)
     blocks, apex = cone_over(desarguesian_spread(4, 2, spec))
     F = full_space(5, q)
-    apex_sub = point_to_subspace(apex, 5, q)
     # (a) the quotient family at the focal point is a line spread of F/P
     der = derived_design(blocks, apex)
     assert is_design(der, DesignParams(1, 4, 2, 1, q)).ok
     # ... equivalently, every point except the focal one lies on a
     # unique block
-    for P in all_points(5, spec):
-        cover = sum(1 for B in blocks.blocks
-                    if contains(B, point_to_subspace(P, 5, q)))
+    for P in enumerate_subspaces(5, 1, spec):
+        cover = sum(1 for B in blocks.blocks if contains(B, P))
         assert cover == (q * q + 1 if P == apex else 1)
     # (b) poor solids are exactly those missing the focal point, with
     # q^4 poor and q^3+q^2+q+1 rich
     cls = classify_solids(blocks, F)
     assert len(cls.rich) == q ** 3 + q ** 2 + q + 1
     assert len(cls.poor) == q ** 4
-    assert all(contains(S, apex_sub) for S in cls.rich)
-    assert all(not contains(S, apex_sub) for S in cls.poor)
+    assert all(contains(S, apex) for S in cls.rich)
+    assert all(not contains(S, apex) for S in cls.poor)
     # (c) on every poor solid the block traces form a line spread
     for S in cls.poor:
         traces = {meet(B, S) for B in blocks.blocks}
@@ -222,10 +219,10 @@ def test_accept_10_beta_flat_micro_model(q):
         assert len(traces) == q * q + 1
         seen = set()
         for t in traces:
-            pts = {p.index for p in subspace_points(t)}
+            pts = {point_index(p.basis[0], 5, q) for p in subspace_points(t)}
             assert not pts & seen
             seen |= pts
-        assert seen == {p.index for p in subspace_points(S)}
+        assert seen == {point_index(p.basis[0], 5, q) for p in subspace_points(S)}
     _report(10, f"beta-flat cone model at q={q}: derived line spread, "
                 f"{q ** 4} poor / {q ** 3 + q ** 2 + q + 1} rich solids, "
                 "spread traces on every poor solid", t0, 120.0)

@@ -28,6 +28,7 @@ from qgeom.cli import (
     build_parser,
     main,
 )
+from qgeom.projspace import point_index
 
 GOLDEN_TRIANGLE_Q2 = """\
 2-(7,3,1)_2 lambda triangle (rows i+j = 0..t, left to right: lambda_(i+j,0) .. lambda_(0,i+j)):
@@ -274,7 +275,7 @@ PROCESS_CACHES = {
     "gf.ops_for_order": "q <= 16",
     "gq.build_w": "q <= 16",
     "gq.build_q4": "q <= 16",
-    "projspace._point_data": "(v, q), the points of PG(v-1, q)",
+    "projspace._point_ids": "(v, q), the point ids of PG(v-1, q)",
     "projspace._gram_rank": "(form, q)",
     "cli.build_parser": "no argument",
 }
@@ -903,7 +904,8 @@ def test_design_alpha_payload_digest_is_pinned(case, tmp_path, capsys, switched_
     cone = tmp_path / "cone.json"
     cone.write_text(json.dumps(blockset_to_json(lifted)))
     payload = tmp_path / "alpha.json"
-    code, out, _ = run(capsys, "design", "alpha", str(cone), "--point", str(apex.index),
+    code, out, _ = run(capsys, "design", "alpha", str(cone),
+                       "--point", str(point_index(apex.basis[0], apex.v, apex.q)),
                        "--out", str(payload))
     assert (code, hashlib.sha256(payload.read_bytes()).hexdigest()) == DESIGN_ALPHA[case]
     assert out == f"alpha point: {'true' if code == EXIT_OK else 'false'}\n"
@@ -931,11 +933,10 @@ def test_design_alpha_via_files(tmp_path, capsys):
     from qgeom.gf import field_new
 
     lifted, apex = cone_over(desarguesian_spread(6, 2, field_new(2)))
-    assert apex.index == 0
+    assert point_index(apex.basis[0], 7, 2) == 0
     blocks = tmp_path / "cone.json"
     blocks.write_text(json.dumps(blockset_to_json(lifted)))
-    code, out, _ = run(capsys, "design", "alpha", str(blocks),
-                       "--point", str(apex.index))
+    code, out, _ = run(capsys, "design", "alpha", str(blocks), "--point", "0")
     assert code == EXIT_OK and out.strip() == "alpha point: true"
 
 

@@ -45,9 +45,7 @@ from qgeom.errors import (
 )
 from qgeom.gf import field_new
 from qgeom.projspace import (
-    PointId,
     Subspace,
-    all_points,
     contains,
     disjoint_union,
     dot_form,
@@ -56,8 +54,8 @@ from qgeom.projspace import (
     gaussian_binomial,
     join,
     meet,
+    point_index,
     point_mask,
-    point_to_subspace,
     q_number,
     rref,
     subspace_from_rows,
@@ -96,7 +94,7 @@ def test_dropping_a_block_yields_three_witnesses():
     assert len(rep.witnesses) == 3  # the removed line held [2]_2 = 3 points
     missing = {T.basis[0] for T, c in rep.witnesses}
     assert all(c == 0 for _, c in rep.witnesses)
-    assert missing == {p.vector for p in subspace_points(removed)}
+    assert missing == {p.basis[0] for p in subspace_points(removed)}
 
 
 def test_is_design_param_mismatch():
@@ -230,7 +228,7 @@ def test_dual_fano_parameters(q):
 
 def test_derived_design_of_spread_is_single_block():
     spread = desarguesian_spread(4, 2, F2)
-    for P in all_points(4, F2):
+    for P in enumerate_subspaces(4, 1, F2):
         der = derived_design(spread, P)
         assert len(der) == 1
         assert der.k == 1 and der.v == 3
@@ -238,9 +236,8 @@ def test_derived_design_of_spread_is_single_block():
 
 def test_derived_design_point_on_no_block_is_empty():
     one_line = block_set([desarguesian_spread(4, 2, F2).sorted_blocks()[0]])
-    uncovered = next(P for P in all_points(4, F2)
-                     if not contains(one_line.sorted_blocks()[0],
-                                     point_to_subspace(P, 4, 2)))
+    uncovered = next(P for P in enumerate_subspaces(4, 1, F2)
+                     if not contains(one_line.sorted_blocks()[0], P))
     assert len(derived_design(one_line, uncovered)) == 0
 
 
@@ -309,7 +306,7 @@ def test_spread_holes():
     removed = blocks.pop()
     holes = spread_holes(block_set(blocks))
     assert len(holes) == q_number(2, 2)
-    assert {h.vector for h in holes} == {p.vector for p in subspace_points(removed)}
+    assert holes == set(subspace_points(removed))
 
 
 def test_spread_holes_rejects_overlap():
@@ -345,7 +342,8 @@ def test_spread_holes_overlap_witness_is_pinned(case, witness):
     # earlier block; values recorded from the per-point implementation
     with pytest.raises(NotPartialSpreadError) as err:
         spread_holes(block_set(_overlapping_blocks(case)))
-    assert (err.value.witness.vector, err.value.witness.index) == witness
+    P = err.value.witness
+    assert (P.basis[0], point_index(P.basis[0], P.v, P.q)) == witness
 
 
 def _geometric_reference(blocks):
@@ -532,34 +530,30 @@ def test_alpha_point_error_paths():
     lifted, apex = cone_over(desarguesian_spread(4, 2, F2))
     # a non-apex point lies on a single block, whose quotient is far from
     # a spread of the 4-dimensional quotient space
-    off_apex = next(P for P in all_points(5, F2) if P != apex)
+    off_apex = next(P for P in enumerate_subspaces(5, 1, F2) if P != apex)
     with pytest.raises(DerivedNotASpreadError):
         is_alpha_point(lifted, off_apex)
     # a point on no block at all
     partial = block_set(lifted.sorted_blocks()[:2], v=5, q=2, k=3)
-    uncovered = next(P for P in all_points(5, F2)
-                     if not any(contains(B, point_to_subspace(P, 5, 2))
-                                for B in partial.blocks))
+    uncovered = next(P for P in enumerate_subspaces(5, 1, F2)
+                     if not any(contains(B, P) for B in partial.blocks))
     with pytest.raises(DerivedNotASpreadError):
         is_alpha_point(partial, uncovered)
 
 
 def test_point_of_another_projective_space_is_refused():
     spread = desarguesian_spread(4, 2, F2)
-    foreign = [next(P for P in all_points(5, F2) if P.vector == (0, 0, 1, 0, 0)),
-               all_points(3, F2)[-1],
-               all_points(4, F3)[7]]
-    assert foreign[2].vector == (0, 1, 1, 0)
+    foreign = [next(P for P in enumerate_subspaces(5, 1, F2) if P.basis[0] == (0, 0, 1, 0, 0)),
+               enumerate_subspaces(3, 1, F2)[-1],
+               enumerate_subspaces(4, 1, F3)[7]]
+    assert foreign[2].basis[0] == (0, 1, 1, 0)
     for P in foreign:
-        assert P.index < q_number(4, 2)  # in range, so only the vector gives it away
-        with pytest.raises(AmbientMismatchError):
-            point_to_subspace(P, 4, 2)
+        # in range, so only the ambient space gives it away
+        assert point_index(P.basis[0], P.v, P.q) < q_number(4, 2)
         with pytest.raises(AmbientMismatchError):
             derived_design(spread, P)
         with pytest.raises(AmbientMismatchError):
             is_alpha_point(spread, P)
-    with pytest.raises(OutOfRangeError):
-        derived_design(spread, PointId(vector=(0, 0, 0, 1), index=15))
 
 
 # ----------------------------------------------------------------------
@@ -613,9 +607,8 @@ def test_classify_solids_of_the_cone_model(q):
     cls = classify_solids(blocks, full_space(5, q))
     assert len(cls.rich) == q**3 + q**2 + q + 1
     assert len(cls.poor) == q**4
-    apex_sub = point_to_subspace(apex, 5, q)
-    assert all(contains(S, apex_sub) for S in cls.rich)
-    assert all(not contains(S, apex_sub) for S in cls.poor)
+    assert all(contains(S, apex) for S in cls.rich)
+    assert all(not contains(S, apex) for S in cls.poor)
 
 
 def test_classify_solids_single_solid():

@@ -37,14 +37,13 @@ from qgeom.gq import (
 from qgeom.projspace import (
     BilinearForm,
     _kernel,
-    all_points,
     bit_ids,
     contains,
     enumerate_subspaces,
     form_value,
     join,
+    point_index,
     point_mask,
-    point_to_subspace,
     require_ambient,
     rref,
     subspace_from_rows,
@@ -83,7 +82,7 @@ def test_w_lines_are_the_isotropic_ones(q):
     form = symplectic_form(q)
     lines = []
     for L in enumerate_subspaces(4, 2, spec):
-        pts = [p.vector for p in subspace_points(L)]
+        pts = [p.basis[0] for p in subspace_points(L)]
         if all(form_value(form, x, y, q) == 0 for x in pts for y in pts):
             lines.append(L)
     assert len(lines) == build_w(q).n_lines == (q + 1) * (q * q + 1)
@@ -100,15 +99,15 @@ def test_q4_is_the_zero_set_of_its_quadratic_form(q):
         return ops.add(ops.add(ops.mul(x[0], x[1]), ops.mul(x[2], x[3])), ops.mul(x[4], x[4]))
 
     spec = field_new(q)
-    zeroes = [p.vector for p in all_points(5, spec) if quadric(p.vector) == 0]
+    zeroes = [p.basis[0] for p in enumerate_subspaces(5, 1, spec) if quadric(p.basis[0]) == 0]
     index = {x: i for i, x in enumerate(zeroes)}
     lines = [L for L in enumerate_subspaces(5, 2, spec)
-             if all(quadric(p.vector) == 0 for p in subspace_points(L))]
+             if all(quadric(p.basis[0]) == 0 for p in subspace_points(L))]
     q4 = build_q4(q)
     assert [P.basis[0] for P in q4.point_labels] == zeroes
     assert len(zeroes) == (q + 1) * (q * q + 1)
     assert q4.line_labels == tuple(lines)
-    assert q4.line_points == tuple(tuple(sorted(index[p.vector] for p in subspace_points(L)))
+    assert q4.line_points == tuple(tuple(sorted(index[p.basis[0]] for p in subspace_points(L)))
                                    for L in lines)
 
 
@@ -116,16 +115,16 @@ def _walked_quadrangle(v, q, quadratic, polar):
     # the construction the builds replaced: walk every line of PG(v-1,q)
     # and keep those whose RREF rows are zeroes with polar value 0
     spec = field_new(q)
-    zeroes = [p for p in all_points(v, spec)
-              if form_value(quadratic, p.vector, p.vector, q) == 0]
-    idx = {p.index: i for i, p in enumerate(zeroes)}
-    singular = {p.vector for p in zeroes}
+    zeroes = [p for p in enumerate_subspaces(v, 1, spec)
+              if form_value(quadratic, p.basis[0], p.basis[0], q) == 0]
+    idx = {point_index(p.basis[0], v, q): i for i, p in enumerate(zeroes)}
+    singular = {p.basis[0] for p in zeroes}
     lines = [L for L in enumerate_subspaces(v, 2, spec)
              if L.basis[0] in singular and L.basis[1] in singular
              and form_value(polar, L.basis[0], L.basis[1], q) == 0]
     return incidence_from_lines(
         len(zeroes), [[idx[i] for i in bit_ids(point_mask(L))] for L in lines],
-        point_labels=tuple(point_to_subspace(p, v, q) for p in zeroes),
+        point_labels=tuple(zeroes),
         line_labels=tuple(lines))
 
 
@@ -156,8 +155,7 @@ def test_q4_lines_lie_on_the_quadric():
     zeros = {lab for lab in q4.point_labels}
     for L in q4.line_labels:
         for p in subspace_points(L):
-            import qgeom.projspace as ps
-            assert ps.Subspace(v=5, k=1, q=3, basis=(p.vector,)) in zeros
+            assert p in zeros
 
 
 def test_q4_has_no_plane_on_the_quadric():
@@ -166,7 +164,7 @@ def test_q4_has_no_plane_on_the_quadric():
     q4 = build_q4(2)
     on_quadric = {lab.basis[0] for lab in q4.point_labels}
     for E in enumerate_subspaces(5, 3, spec):
-        pts = {p.vector for p in subspace_points(E)}
+        pts = {p.basis[0] for p in subspace_points(E)}
         assert not pts <= on_quadric
 
 
@@ -198,7 +196,7 @@ def test_grid_is_a_gq_of_order_2_1():
 
 def test_projective_space_is_not_a_gq():
     spec = field_new(2)
-    lines = [tuple(p.index for p in subspace_points(L))
+    lines = [tuple(point_index(p.basis[0], 4, 2) for p in subspace_points(L))
              for L in enumerate_subspaces(4, 2, spec)]
     verdict = check_gq(incidence_from_lines(15, lines))
     assert not verdict.axioms_ok  # triangles break the projection axiom

@@ -19,14 +19,16 @@ from qgeom.errors import (
     BudgetExceededError,
     DegenerateFormError,
     NotContainedError,
+    NotAPrimePowerError,
     NotIncidentError,
     OutOfRangeError,
+    PayloadError,
 )
 from qgeom import gf, projspace
+from qgeom.designs import derived_design, desarguesian_spread
 from qgeom.gf import arith, field_new, ops_for_order
 from qgeom.projspace import (
     Subspace,
-    all_points,
     annihilated,
     check_point_index,
     contains,
@@ -44,7 +46,6 @@ from qgeom.projspace import (
     point_index,
     point_at,
     point_mask,
-    point_to_subspace,
     q_number,
     quotient,
     restrict_filter,
@@ -165,8 +166,7 @@ def test_meet_join_idempotence_and_points():
     L = lines[0]
     assert meet(L, L) == L
     assert join(L, L) == L
-    pts = all_points(4, F2)
-    P, Q = (point_to_subspace(p, 4, 2) for p in pts[:2])
+    P, Q = enumerate_subspaces(4, 1, F2)[:2]
     assert join(P, Q).k == 2
     assert meet(P, Q).k == 0
 
@@ -198,6 +198,20 @@ def test_subspace_canonical_form_is_validated():
         Subspace(v=3, k=2, q=2, basis=((0, 1, 0), (1, 0, 0)))  # pivots decrease
     with pytest.raises(ValueError):
         Subspace(v=3, k=2, q=3, basis=((1, 2, 0), (0, 2, 0)))  # pivot not 1
+
+
+@pytest.mark.parametrize("v,k,q,basis,error", [
+    (2, 1, 2, ((1, 5),), ValueError),  # 5 is not an element of F_2
+    (3, 2, 2, ((1, 0, 3), (0, 1, 1)), ValueError),
+    (2, 1, 6, ((1, 0),), NotAPrimePowerError),
+])
+def test_subspace_entries_must_lie_in_a_field(v, k, q, basis, error):
+    with pytest.raises(error):
+        Subspace(v=v, k=k, q=q, basis=basis)
+    if q == 2:  # the decoder still names the payload at fault
+        obj = {"v": v, "k": k, "q": q, "rows": [list(r) for r in basis]}
+        with pytest.raises(PayloadError):
+            subspace_from_json(obj)
 
 
 def test_subspace_from_rows_canonicalizes():
@@ -254,8 +268,7 @@ def test_degenerate_form_rejected():
 # ----------------------------------------------------------------------
 
 def test_quotient_degenerate_and_dimensions():
-    pts = all_points(6, F2)
-    P = point_to_subspace(pts[0], 6, 2)
+    P = point_at(0, 6, 2)
     assert quotient(P, P) == Subspace(5, 0, 2, ())
     plane = next(E for E in enumerate_subspaces(6, 3, F2) if contains(E, P))
     assert quotient(plane, P).k == 2
@@ -270,16 +283,14 @@ def test_quotient_by_a_line():
 
 
 def test_quotient_requires_containment():
-    pts = all_points(4, F2)
-    P = point_to_subspace(pts[0], 4, 2)
+    P = point_at(0, 4, 2)
     L = next(L for L in enumerate_subspaces(4, 2, F2) if not contains(L, P))
     with pytest.raises(NotContainedError):
         quotient(L, P)
 
 
 def test_quotient_preserves_meets():
-    pts = all_points(4, F2)
-    P = point_to_subspace(pts[0], 4, 2)
+    P = point_at(0, 4, 2)
     through = [B for B in enumerate_subspaces(4, 3, F2) if contains(B, P)]
     for B1 in through:
         for B2 in through:
@@ -295,11 +306,11 @@ def test_quotient_preserves_meets():
 def test_restrict_filter():
     lines = enumerate_subspaces(4, 2, F2)
     assert restrict_filter(lines, Subspace(4, 0, 2, ()), full_space(4, 2)) == lines
-    P = point_to_subspace(all_points(4, F2)[0], 4, 2)
+    P = point_at(0, 4, 2)
     through = restrict_filter(lines, P, full_space(4, 2))
     assert len(through) == 7  # [3]_2 lines per point
     # U not below W gives the empty filter
-    Q = point_to_subspace(all_points(4, F2)[1], 4, 2)
+    Q = point_at(1, 4, 2)
     assert restrict_filter(lines, P, Q) == []
 
 
@@ -307,7 +318,7 @@ def test_restrict_filter():
 def test_line_pencil_size(q, expected):
     spec = field_new(q)
     E = enumerate_subspaces(4, 3, spec)[0]
-    P = point_to_subspace(subspace_points(E)[0], 4, q)
+    P = subspace_points(E)[0]
     pencil = line_pencil(P, E)
     assert len(pencil) == expected
     assert all(contains(E, L) and contains(L, P) for L in pencil)
@@ -315,16 +326,15 @@ def test_line_pencil_size(q, expected):
 
 def test_line_pencil_requires_incidence():
     E = enumerate_subspaces(4, 3, F2)[0]
-    outside = next(p for p in all_points(4, F2)
-                   if not contains(E, point_to_subspace(p, 4, 2)))
+    outside = next(P for P in enumerate_subspaces(4, 1, F2) if not contains(E, P))
     with pytest.raises(NotIncidentError):
-        line_pencil(point_to_subspace(outside, 4, 2), E)
+        line_pencil(outside, E)
 
 
 def test_point_table_is_lexicographic_and_matches_enumeration():
-    pts = all_points(4, F2)
-    assert [p.index for p in pts] == list(range(15))
-    vectors = [p.vector for p in pts]
+    ids = projspace._point_ids(4, 2)
+    assert list(ids.values()) == list(range(15))
+    vectors = list(ids)
     assert vectors == sorted(vectors)
     ones = enumerate_subspaces(4, 1, F2)
     assert [S.basis[0] for S in ones] == vectors
@@ -337,6 +347,19 @@ def test_normalize_and_index():
         normalize_vector((0, 0), 2)
 
 
+@pytest.mark.parametrize("vec,error", [
+    ((1, 0), AmbientMismatchError),  # too short for F_2^3
+    ((1, 0, 0, 0), AmbientMismatchError),
+    ((1, 0, 2), ValueError),  # 2 is not an element of F_2
+    ((1, 0, -1), ValueError),
+    ((1.0, 0, 0), ValueError),
+    ((0, 0, 0), ValueError),
+])
+def test_point_index_refuses_a_vector_that_names_no_point(vec, error):
+    with pytest.raises(error):
+        point_index(vec, 3, 2)
+
+
 def test_subspace_points_and_mask():
     L = enumerate_subspaces(4, 2, F2)[0]
     pts = subspace_points(L)
@@ -344,15 +367,21 @@ def test_subspace_points_and_mask():
     assert point_mask(L).bit_count() == 3
 
 
+def _points_on(U):
+    """The point mask of U, by ``contains`` over every point."""
+    return mask_of(i for i, P in enumerate(enumerate_subspaces(U.v, 1, field_new(U.q)))
+                   if contains(U, P))
+
+
 def test_point_mask_is_memoized_per_subspace(monkeypatch):
-    real = projspace.subspace_points
+    real = projspace._point_ids
     calls = []
-    monkeypatch.setattr(projspace, "subspace_points", lambda U: calls.append(U) or real(U))
+    monkeypatch.setattr(projspace, "_point_ids", lambda v, q: calls.append((v, q)) or real(v, q))
     L = subspace_from_rows([(1, 0, 2, 0), (0, 1, 1, 1)], 4, 3)
     twin = subspace_from_rows(L.basis, 4, 3)
     before = (hash(twin), repr(twin))
-    assert point_mask(L) == point_mask(L) == mask_of(p.index for p in real(L))
-    assert calls == [L]
+    assert point_mask(L) == point_mask(L) == _points_on(L)
+    assert calls == [(4, 3), (2, 3)]  # the ids of PG(3,3), the coefficients of a line
     # a memoized mask leaves equality, hashing, order and repr alone
     assert L == twin and not L < twin and not twin < L
     assert (hash(L), repr(L)) == before
@@ -364,7 +393,7 @@ def test_mask_subset_agrees_with_contains(q):
     small = [U for k in (0, 1, 2) for U in enumerate_subspaces(4, k, spec)]
     large = [U for k in (2, 3) for U in enumerate_subspaces(4, k, spec)]
     for U in small:
-        assert point_mask(U) == mask_of(p.index for p in subspace_points(U))
+        assert point_mask(U) == _points_on(U)
         for W in large:
             assert (not point_mask(U) & ~point_mask(W)) == contains(W, U)
 
@@ -416,7 +445,7 @@ def _revalidated(U):
 def test_validating_constructor_accepts_every_constructed_subspace(v, q):
     spec = field_new(q)
     built = [full_space(v, q)]
-    built += [point_to_subspace(P, v, q) for P in all_points(v, spec)]
+    built += [point_at(i, v, q) for i in range(q_number(v, q))]
     for k in range(v + 1):
         built += enumerate_subspaces(v, k, spec)
     if v == 4:  # dualize and meet wrap _kernel's RREF output unvalidated
@@ -546,11 +575,11 @@ def test_row_operations_agree_with_the_method_call_reference(case):
     for B, P in ((U, M), (J, X), (J, U), (U, U)):
         assert quotient(B, P).basis == _quotient_reference(B, P)
     ops = ops_for_order(q)
-    for c in itertools.islice(all_points(U.k, field_new(q)), 30):
+    for c in itertools.islice(projspace._point_ids(U.k, q), 30):
         expected = [0] * v
-        for ci, brow in zip(c.vector, U.basis):
+        for ci, brow in zip(c, U.basis):
             expected = [ops.add(x, ops.mul(ci, y)) for x, y in zip(expected, brow)]
-        assert projspace._combine(c.vector, U.basis, v, ops) == expected
+        assert projspace._combine(c, U.basis, v, ops) == expected
 
 
 def test_row_masks_refuse_a_huge_q_before_factoring_it(monkeypatch):
@@ -575,11 +604,23 @@ def test_disjoint_union():
     assert disjoint_union([0b01, 0, 0b10, 0]) == (0b11, 0)
 
 
-def test_point_at_matches_all_points():
-    for v in range(1, 6):
-        for q in (2, 3, 4, 5):
-            points = all_points(v, field_new(q))
-            assert [point_at(i, v, q) for i in range(len(points))] == list(points)
+def test_points_have_one_numbering():
+    """Enumeration, ``point_at``, ``point_index`` and ``point_mask`` agree
+    on every point id; a derived design refuses what is not a point of
+    its space."""
+    for v, q in [*((v, q) for v in range(1, 6) for q in (2, 3, 4, 5)),
+                 (3, 7), (3, 8), (3, 9), (2, 11), (3, 13), (2, 16), (3, 16)]:
+        points = enumerate_subspaces(v, 1, field_new(q))
+        assert len(points) == q_number(v, q)
+        for i, P in enumerate(points):
+            assert P == point_at(i, v, q)
+            assert point_index(P.basis[0], v, q) == i
+            assert point_mask(P) == 1 << i
+    spread = desarguesian_spread(4, 2, F2)
+    with pytest.raises(ValueError, match="at a point"):
+        derived_design(spread, enumerate_subspaces(4, 2, F2)[0])
+    with pytest.raises(AmbientMismatchError):
+        derived_design(spread, point_at(0, 5, 2))
 
 
 @pytest.mark.parametrize("index", [-1, 15, 10 ** 6])

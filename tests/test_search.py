@@ -23,7 +23,14 @@ from qgeom.designs import is_geometric_spread, spread_holes
 from qgeom.errors import BudgetExceededError, PayloadError
 from qgeom.gf import field_new
 from qgeom.gq import build_q4, build_w, incidence_from_lines, is_gq_ovoid, is_gq_spread
-from qgeom.projspace import bit_ids, enumerate_subspaces, point_mask, q_number, subspace_points
+from qgeom.projspace import (
+    bit_ids,
+    enumerate_subspaces,
+    point_index,
+    point_mask,
+    q_number,
+    subspace_points,
+)
 from qgeom.search import (
     ExactCoverInstance,
     SearchCertificate,
@@ -351,7 +358,7 @@ def test_grid_spreads_ovoids_partition():
 
 def test_non_gq_structure_is_searched_without_warning():
     # PG(3,2) is not a GQ; its line spreads are still exact covers of its points
-    lines = [tuple(p.index for p in subspace_points(L))
+    lines = [tuple(point_index(p.basis[0], 4, 2) for p in subspace_points(L))
              for L in enumerate_subspaces(4, 2, F2)]
     pg = incidence_from_lines(15, lines)
     with warnings.catch_warnings():
