@@ -356,6 +356,7 @@ def point_at(index: int, v: int, q: int) -> Subspace:
     Points with more leading zeros come first; within one leading
     position the tail is the base-q digits of the offset.
     """
+    ops_for_order(q)  # field_new(q) once per q: raises unless q is a field order
     check_point_index(index, v, q)
     tail_len, offset = 0, index
     while offset >= q ** tail_len:

@@ -6,7 +6,9 @@ recursion limit.  Each node holds the mask of options still compatible
 with the partial cover and the column sizes packed into one int, both
 updated incrementally.  Column choice is minimum-remaining-options with
 ties broken by lowest element id; rows are visited in the instance's
-option order.
+option order.  A node is one option try.  Once every open column has
+exactly one option left the rest of the branch is forced: its k tries
+are counted as k nodes but settled in one step.
 Given the same option order the search tree, the discovery order of
 solutions and the node count are all reproducible, which is what the
 certificates record: a completed run with zero solutions is a certified
@@ -130,6 +132,13 @@ class _Run:
     one exactly 2**(W-1).  ``search`` walks the tree in one loop: each
     descent pushes the parent's (active, sizes, untried rows) frame, so
     there is no undo pass and no recursion, whatever the depth.
+
+    A node is one option try.  When a try leaves every open column with
+    exactly one active option (no size has a bit of ``mid`` set, and
+    none is 0), the k options left partition the open elements: the walk
+    would try them one by one, one node each, and end in one cover.  Such
+    a forced tail is settled in one step, its k tries counted, so node
+    counts, budgets and solution order are those of the plain walk.
     """
 
     def __init__(self, instance, option_order, store, max_solutions, node_limit):
@@ -152,6 +161,7 @@ class _Run:
         self.tag = [v << width - 1 for v in self.vec]
         self.sizes = sum(c.bit_count() << e * width for e, c in enumerate(cols))
         self.done = sum(1 << (e + 1) * width - 1 for e in range(n))
+        self.mid = sum((1 << width - 1) - 2 << e * width for e in range(n))  # bits 1..W-2
         self.active = (1 << len(elements)) - 1
         self.nbytes = n * width // 8
         self.typecode = next(c for c in "BHILQ" if array(c).itemsize == width // 8)
@@ -166,14 +176,9 @@ class _Run:
 
     def column(self, sizes):
         """(element, size) of the uncovered column with fewest options,
-        the lowest element id on ties."""
-        fields = sizes.to_bytes(self.nbytes, "little")
-        if self.typecode == "B":  # the usual case: one memchr per size tried
-            least = 0
-            while (col := fields.find(least)) < 0:
-                least += 1
-            return col, least
-        fields = array(self.typecode, fields)
+        the lowest element id on ties; ``search`` inlines it for 8-bit
+        sizes."""
+        fields = array(self.typecode, sizes.to_bytes(self.nbytes, "little"))
         if sys.byteorder == "big":
             fields.byteswap()
         least = min(fields)
@@ -192,6 +197,7 @@ class _Run:
         cols, conflict, vec, tag, done = self.cols, self.conflict, self.vec, self.tag, self.done
         step = [t - v for t, v in zip(tag, vec)]  # option p is always among those it removes
         column, emit, stack, frames = self.column, self.emit, self.stack, []
+        mid, nbytes, narrow, store = self.mid, self.nbytes, self.typecode == "B", self.store
         active, sizes, nodes, limit = self.active, self.sizes, self.nodes, self.node_limit
         col, least = column(sizes)
         rows = active & cols[col] if least else 0
@@ -224,12 +230,38 @@ class _Run:
                     bit = rest & -rest
                     child -= vec[bit.bit_length() - 1]
                     rest ^= bit
-                col, least = column(child)
-                if least:
-                    stack.append(p)
-                    frames.append((active, sizes, rows))
-                    active ^= gone
-                    sizes, rows = child, active & cols[col]
+                if narrow:  # 8-bit sizes, the usual case: one memchr per size tried
+                    fields = child.to_bytes(nbytes, "little")
+                    if 0 in fields:  # an open column with no option left
+                        continue
+                else:
+                    col, least = column(child)
+                    if not least:
+                        continue
+                left = active ^ gone
+                if not child & mid:  # a forced tail of k tries, settled here
+                    k = left.bit_count()
+                    nodes += k
+                    if nodes > limit:
+                        nodes = limit + 1
+                        return "budget"
+                    if store:
+                        stack.append(p)
+                        stack += bit_ids(left)
+                        capped = emit()
+                        del stack[-k - 1:]
+                    else:
+                        capped = emit()
+                    if capped:
+                        return "stopped"
+                    continue
+                if narrow:
+                    least = 1
+                    while (col := fields.find(least)) < 0:
+                        least += 1
+                stack.append(p)
+                frames.append((active, sizes, rows))
+                active, sizes, rows = left, child, left & cols[col]
         finally:
             self.nodes = nodes
 
@@ -257,10 +289,12 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     certificate incomplete when it binds); "count" is "all" without
     storing the solutions.  A node is one option try; exceeding
     node_limit raises BudgetExceededError carrying the partial
-    certificate.
+    certificate.  A max_solutions below 1 or a node_limit below 0 is a
+    ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    _check_budgets(node_limit, max_solutions)
     if mode == "first" and max_solutions is None:
         max_solutions = 1
     if option_order is not None and seed is not None:
@@ -274,8 +308,8 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
         raise ValueError("option_order must be a permutation of all option ids")
     digest = instance_digest(instance)
 
-    if instance.n_elements == 0:
-        outcome, found, count, nodes = "completed", [()], 1, 0
+    if instance.n_elements == 0:  # one solution, the empty cover, and no node
+        outcome, found, count, nodes = "completed", [()] if mode != "count" else [], 1, 0
     else:
         outcome, found, count, nodes = _search(instance, option_order, mode != "count",
                                                max_solutions, node_limit)
@@ -293,6 +327,13 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     if outcome == "budget":
         raise BudgetExceededError(f"node budget {node_limit} exceeded", certificate=cert)
     return cert
+
+
+def _check_budgets(node_limit, max_solutions):
+    if max_solutions is not None and max_solutions < 1:
+        raise ValueError(f"max_solutions must be at least 1, got {max_solutions}")
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be at least 0, got {node_limit}")
 
 
 # ----------------------------------------------------------------------
@@ -351,6 +392,7 @@ def partition_into_ovoids(structure: IncidenceStructure, mode: str = "all",
 
 
 def _two_levels(enumerate_first, structure, n_elements, label, mode, kwargs):
+    _check_budgets(kwargs.get("node_limit"), kwargs.get("max_solutions"))
     try:
         first = enumerate_first(structure, "all",
                                 **{k: v for k, v in kwargs.items() if k != "max_solutions"})
@@ -467,13 +509,28 @@ def certificate_from_json(obj: dict) -> SearchCertificate:
     seed = obj.get("seed")
     if seed is not None and type(seed) is not int:
         raise PayloadError("certificate seed must be an integer or null")
+    n, mode, count = len(obj["option_order"]), obj["mode"], obj["solution_count"]
+    if sorted(obj["option_order"]) != list(range(n)):
+        raise PayloadError(f"certificate option_order must list each id below {n} once")
+    if not all(len(set(s)) == len(s) and all(i < n for i in s) for s in solutions):
+        raise PayloadError(f"certificate solutions must list distinct option ids below {n}")
+    if (mode == "nonexistence") != (obj["completed"] and count == 0):
+        raise PayloadError("certificate mode must be 'nonexistence' exactly when a completed "
+                           "run found no solution")
+    if mode in ("count", "nonexistence"):
+        if solutions:
+            raise PayloadError(f"certificate mode {mode!r} stores no solution, "
+                               f"but {len(solutions)} are listed")
+    elif len(solutions) != count:
+        raise PayloadError(f"certificate solution_count {count} does not match the "
+                           f"{len(solutions)} solutions listed")
     return SearchCertificate(
-        digest=digest, mode=obj["mode"],
+        digest=digest, mode=mode,
         solutions=tuple(tuple(s) for s in solutions),
         nodes_visited=obj["nodes"],
         option_order=tuple(obj["option_order"]),
         completed=obj["completed"],
-        solution_count=obj["solution_count"],
+        solution_count=count,
         seed=seed,
     )
 

@@ -629,6 +629,12 @@ def test_point_at_refuses_an_index_outside_the_space(index):
         point_at(index, 4, 2)
 
 
+@pytest.mark.parametrize("index", [0, 5, 200])
+def test_point_at_refuses_an_order_that_is_no_field(index):
+    with pytest.raises(NotAPrimePowerError):
+        point_at(index, 4, 6)
+
+
 def test_check_point_index_agrees_with_the_point_count():
     # indices around [v]_q and around 2^v, where the bit-length shortcut ends
     for v in range(-1, 7):

@@ -83,6 +83,9 @@ def test_empty_option_list_certifies_nonexistence():
 def test_empty_universe_has_the_empty_solution():
     cert = solve_exact_cover(ExactCoverInstance(0, ()))
     assert cert.solutions == ((),)
+    count = solve_exact_cover(ExactCoverInstance(0, ()), "count")
+    assert (count.solution_count, count.solutions, count.nodes_visited) == (1, (), 0)
+    assert certificate_from_json(certificate_to_json(count)) == count
 
 
 def test_instance_validation():
@@ -101,6 +104,25 @@ def test_mode_first_and_count():
     assert count.solution_count == 2 and count.solutions == ()
     with pytest.raises(ValueError):
         solve_exact_cover(inst, "everything")
+
+
+@pytest.mark.parametrize("key,value,least", [("max_solutions", 0, 1), ("max_solutions", -1, 1),
+                                             ("node_limit", -5, 0)])
+@pytest.mark.parametrize("mode", ["all", "first", "count"])
+def test_out_of_range_budgets_are_refused(mode, key, value, least):
+    inst = exact_cover_instance(3, [{0, 1}, {2}, {0}, {1, 2}])
+    with pytest.raises(ValueError, match=f"^{key} must be at least {least}, got {value}$"):
+        solve_exact_cover(inst, mode, **{key: value})
+
+
+@pytest.mark.parametrize("key,value", [("max_solutions", 0), ("node_limit", -1)])
+def test_partitions_refuse_out_of_range_budgets_before_either_level(key, value, monkeypatch):
+    def first_level(*args, **kwargs):
+        raise AssertionError("the first level ran")
+
+    monkeypatch.setattr(search, "enumerate_gq_ovoids", first_level)
+    with pytest.raises(ValueError, match=f"^{key} must be at least"):
+        partition_into_ovoids(build_q4(2), **{key: value})
 
 
 def test_option_order_changes_discovery_not_the_set():
@@ -286,6 +308,11 @@ def _algorithm_x(instance, order, max_solutions=None, node_limit=None):
 def _runs(draw):
     n = draw(st.integers(1, 7))
     options = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=14))
+    if draw(st.booleans()):  # a partition plus a few options: long forced tails
+        blocks = {}
+        for e, b in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
+            blocks[b] = blocks.get(b, 0) | 1 << e
+        options = draw(st.permutations([*blocks.values(), *options[:3]]))
     mode = draw(st.sampled_from(("all", "first", "count")))
     return (ExactCoverInstance(n, tuple(options)), mode,
             draw(st.none() | st.integers(0, 40)), draw(st.none() | st.integers(1, 4)),
@@ -309,6 +336,26 @@ def test_solver_matches_set_based_algorithm_x(run):
     assert cert.solutions == (() if mode == "count" else tuple(found))
     assert cert.completed == (not halted)
     assert budget_hit == (node_limit is not None and nodes > node_limit)
+
+
+def test_pg32_budgets_and_caps_at_every_node_match_algorithm_x():
+    # 112 of the 203 nodes lie on forced tails, settled in one step each:
+    # put the node budget and the solution cap at every place in the tree
+    instance = pg_line_spread_instance(4, F2)
+    order = solve_exact_cover(instance, "count", seed=0).option_order
+    runs = [(mode, {"node_limit": limit}, _algorithm_x(instance, order, None, limit))
+            for limit in range(204) for mode in ("all", "count")]
+    runs += [("all", {"max_solutions": cap}, _algorithm_x(instance, order, cap))
+             for cap in range(1, 57)]
+    for mode, kwargs, (found, nodes, halted) in runs:
+        try:
+            cert = solve_exact_cover(instance, mode, seed=0, **kwargs)
+        except BudgetExceededError as exc:
+            cert = exc.certificate
+        assert (cert.nodes_visited, cert.solution_count, cert.completed) == \
+            (nodes, len(found), not halted), kwargs
+        assert cert.solutions == (() if mode == "count" else tuple(found))
+        assert certificate_from_json(certificate_to_json(cert)) == cert
 
 
 @pytest.mark.parametrize("q", [2, 4])
@@ -520,12 +567,33 @@ def test_certificate_json_round_trip():
     ("completed", "yes"), ("completed", 1),
     ("solution_count", 1.5), ("solution_count", -1),
     ("seed", "0"), ("seed", 0.5),
+    ("option_order", [0, 0, 0]), ("option_order", list(range(1, 16))),
+    ("solutions", [[99, 100]]), ("solutions", [[0, 0]]), ("solutions", [[15]]),
+    ("mode", "nonexistence"), ("mode", "count"),
+    ("solution_count", 5), ("solution_count", 7),
 ])
 def test_certificate_fields_are_checked_where_they_enter(key, value):
     obj = certificate_to_json(enumerate_gq_spreads(build_w(2)))
     obj[key] = value
     with pytest.raises(PayloadError, match=f"^certificate {key} "):
         certificate_from_json(obj)
+
+
+@pytest.mark.parametrize("edits,message", [
+    ({"mode": "nonexistence", "solution_count": 0}, "^certificate mode 'nonexistence' stores "),
+    ({"solutions": [], "solution_count": 0}, "^certificate mode must be 'nonexistence' "),
+    ({"mode": "count", "solutions": [], "solution_count": 0},
+     "^certificate mode must be 'nonexistence' "),
+    ({"mode": "nonexistence", "solutions": [], "solution_count": 0, "completed": False},
+     "^certificate mode must be 'nonexistence' "),
+], ids=["nonexistence-listing-solutions", "all-completed-empty", "count-completed-empty",
+        "nonexistence-not-completed"])
+def test_a_certificate_that_contradicts_itself_is_refused(edits, message):
+    obj = certificate_to_json(enumerate_gq_spreads(build_w(2)))
+    with pytest.raises(PayloadError, match=message):
+        certificate_from_json(dict(obj, **edits))
+    counted = dict(obj, mode="count", solutions=[], completed=False)
+    assert certificate_from_json(counted).solution_count == 6
 
 
 @pytest.mark.parametrize("obj", [[], "cert", None])

@@ -86,22 +86,31 @@ def test_block_set_payloads_round_trip(blocks):
     assert blockset_to_json(blockset_from_json(payload)) == payload
 
 
-_IDS = st.lists(COUNT, max_size=6).map(tuple)
-_CERTIFICATES = st.builds(
-    SearchCertificate,
-    digest=st.text("0123456789abcdef", min_size=64, max_size=64),
-    mode=st.sampled_from(MODES + ("nonexistence",)),
-    solutions=st.lists(_IDS, max_size=4).map(tuple),
-    nodes_visited=COUNT,
-    option_order=_IDS,
-    completed=st.booleans(),
-    solution_count=COUNT,
-    seed=st.none() | st.integers(-10 ** 3, 10 ** 3),
-)
+@st.composite
+def _certificates(draw):
+    """Certificates that agree with themselves, as the solver writes them:
+    each solution lists distinct ids of the option order, stored solutions
+    match the count, and the mode is "nonexistence" exactly when a
+    completed run found no solution."""
+    order = tuple(draw(st.permutations(range(draw(st.integers(0, 6))))))
+    mode = draw(st.sampled_from(MODES + ("nonexistence",)))
+    completed = mode == "nonexistence" or draw(st.booleans())
+    solutions, count = (), 0
+    if mode == "count":
+        count = draw(st.integers(int(completed), 10 ** 3))
+    elif mode != "nonexistence":
+        ids = st.lists(st.sampled_from(order), unique=True).map(tuple) if order else st.just(())
+        solutions = tuple(draw(st.lists(ids, min_size=int(completed), max_size=4)))
+        count = len(solutions)
+    return SearchCertificate(
+        digest=draw(st.text("0123456789abcdef", min_size=64, max_size=64)), mode=mode,
+        solutions=solutions, nodes_visited=draw(COUNT), option_order=order,
+        completed=completed, solution_count=count,
+        seed=draw(st.none() | st.integers(-10 ** 3, 10 ** 3)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(_CERTIFICATES)
+@given(_certificates())
 def test_certificate_payloads_round_trip(cert):
     payload = _wire(certificate_to_json(cert))
     assert certificate_from_json(payload) == cert
