@@ -306,7 +306,6 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
     if blocks.q > MAX_FIELD_ORDER:  # refused before DesignParams factors q
         field_new(blocks.q)
     DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)  # checks k and q
-    field_new(blocks.q)
     block_list = blocks.sorted_blocks()
     # A spread has [v]_q / [k]_q blocks.  Count them before any mask of
     # [v]_q bits is built, and without q^v when no block's rows bound v.

@@ -22,7 +22,7 @@ from .errors import (
     PayloadError,
     UnknownIdError,
 )
-from .gf import dot, field_new, ops_for_order
+from .gf import dot, ops_for_order
 from .projspace import (
     SCHEMA_VERSION,
     BilinearForm,
@@ -173,7 +173,6 @@ def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
     once, with (b, a) its RREF basis, so the sorted bases are the lines
     in ``enumerate_subspaces`` order.
     """
-    field_new(q)  # raises OutOfRangeError beyond 16
     ops = ops_for_order(q)
     zeroes = [a for a in _point_ids(v, q) if form_value(quadratic, a, a, q) == 0]
     idx = {a: i for i, a in enumerate(zeroes)}

@@ -8,7 +8,9 @@ updated incrementally.  Column choice is minimum-remaining-options with
 ties broken by lowest element id; rows are visited in the instance's
 option order.  A node is one option try.  Once every open column has
 exactly one option left the rest of the branch is forced: its k tries
-are counted as k nodes but settled in one step.
+are counted as k nodes but settled in one step.  The tables a run needs
+are built once per instance and option order; one walk over them keeps
+its own state and records every cover, forced or not, at one place.
 Given the same option order the search tree, the discovery order of
 solutions and the node count are all reproducible, which is what the
 certificates record: a completed run with zero solutions is a certified
@@ -122,26 +124,32 @@ class SearchCertificate:
 # ----------------------------------------------------------------------
 
 class _Run:
-    """One run of Algorithm X on bitsets: node counting, budgets, solutions.
+    """The per-run tables of Algorithm X on bitsets; ``search`` walks one tree.
 
     Option bit p is the p-th option of the option order, so a column's
     candidates, scanned from the lowest bit, come in option order.  A
     node's state is the mask of still compatible options plus the column
     sizes packed into one int, W bits per element: an uncovered column
     holds its count of active options, below 2**(W-1), and a covered
-    one exactly 2**(W-1).  ``search`` walks the tree in one loop: each
-    descent pushes the parent's (active, sizes, untried rows) frame, so
-    there is no undo pass and no recursion, whatever the depth.
+    one exactly 2**(W-1).  The object holds only what the instance and
+    the order fix: the column masks, each option's conflict mask and
+    size vectors, the width and the root state.  ``search`` keeps one
+    walk's frames, nodes and solutions in locals and walks the tree in
+    one loop: each descent pushes the parent's (active, sizes, untried
+    rows) frame, so there is no undo pass and no recursion, whatever the
+    depth.
 
     A node is one option try.  When a try leaves every open column with
     exactly one active option (no size has a bit of ``mid`` set, and
     none is 0), the k options left partition the open elements: the walk
     would try them one by one, one node each, and end in one cover.  Such
     a forced tail is settled in one step, its k tries counted, so node
-    counts, budgets and solution order are those of the plain walk.
+    counts, budgets and solution order are those of the plain walk.  A
+    try that leaves no option and covers every column is the other kind
+    of cover; both are recorded at one place, the bottom of the loop.
     """
 
-    def __init__(self, instance, option_order, store, max_solutions, node_limit):
+    def __init__(self, instance, option_order):
         n = instance.n_elements
         elements = [tuple(bit_ids(instance.options[opt])) for opt in option_order]
         cols = [0] * n
@@ -166,13 +174,6 @@ class _Run:
         self.nbytes = n * width // 8
         self.typecode = next(c for c in "BHILQ" if array(c).itemsize == width // 8)
         self.order = option_order
-        self.store = store
-        self.max_solutions = max_solutions
-        self.node_limit = float("inf") if node_limit is None else node_limit
-        self.nodes = 0
-        self.count = 0
-        self.solutions = []
-        self.stack = []
 
     def column(self, sizes):
         """(element, size) of the uncovered column with fewest options,
@@ -184,46 +185,40 @@ class _Run:
         least = min(fields)
         return fields.index(least), least
 
-    def emit(self):
-        """Record the cover on the stack; true once the solution cap binds."""
-        self.count += 1
-        if self.store:
-            self.solutions.append(tuple(sorted(self.order[p] for p in self.stack)))
-        return self.max_solutions is not None and self.count >= self.max_solutions
-
-    def search(self):
-        """Walk the whole tree depth first.  Returns "completed", "stopped"
-        (the solution cap bound) or "budget" (the node limit bound)."""
+    def search(self, store, max_solutions, node_limit):
+        """Walk the whole tree depth first.  Returns (outcome, solutions,
+        count, nodes): the outcome is "completed", "stopped" (the solution
+        cap bound) or "budget" (the node limit bound), and solutions holds
+        the covers' option ids, each sorted, if store is true."""
         cols, conflict, vec, tag, done = self.cols, self.conflict, self.vec, self.tag, self.done
         step = [t - v for t, v in zip(tag, vec)]  # option p is always among those it removes
-        column, emit, stack, frames = self.column, self.emit, self.stack, []
-        mid, nbytes, narrow, store = self.mid, self.nbytes, self.typecode == "B", self.store
-        active, sizes, nodes, limit = self.active, self.sizes, self.nodes, self.node_limit
+        column, mid, nbytes, order = self.column, self.mid, self.nbytes, self.order
+        narrow = self.typecode == "B"
+        limit = float("inf") if node_limit is None else node_limit
+        cap = float("inf") if max_solutions is None else max_solutions
+        stack, frames, solutions, count, nodes = [], [], [], 0, 0
+        active, sizes = self.active, self.sizes
         col, least = column(sizes)
         rows = active & cols[col] if least else 0
-        try:
-            while True:
-                if not rows:
-                    if not frames:
-                        return "completed"
-                    active, sizes, rows = frames.pop()
-                    stack.pop()
+        while True:
+            if not rows:
+                if not frames:
+                    return "completed", solutions, count, nodes
+                active, sizes, rows = frames.pop()
+                stack.pop()
+                continue
+            low = rows & -rows
+            rows ^= low
+            p = low.bit_length() - 1
+            nodes += 1
+            if nodes > limit:
+                return "budget", solutions, count, nodes
+            gone = active & conflict[p]
+            left = active ^ gone
+            if not left:  # no option left: a cover or a dead end
+                if (sizes + tag[p]) & done != done:
                     continue
-                low = rows & -rows
-                rows ^= low
-                p = low.bit_length() - 1
-                nodes += 1
-                if nodes > limit:
-                    return "budget"
-                gone = active & conflict[p]
-                if gone == active:  # no option left: a cover or a dead end, settled here
-                    if (sizes + tag[p]) & done == done:
-                        stack.append(p)
-                        capped = emit()
-                        stack.pop()
-                        if capped:
-                            return "stopped"
-                    continue
+            else:
                 child = sizes + step[p]
                 rest = gone ^ low
                 while rest:  # bit_ids inlined: its generator costs ~15 %
@@ -238,39 +233,23 @@ class _Run:
                     col, least = column(child)
                     if not least:
                         continue
-                left = active ^ gone
-                if not child & mid:  # a forced tail of k tries, settled here
-                    k = left.bit_count()
-                    nodes += k
-                    if nodes > limit:
-                        nodes = limit + 1
-                        return "budget"
-                    if store:
-                        stack.append(p)
-                        stack += bit_ids(left)
-                        capped = emit()
-                        del stack[-k - 1:]
-                    else:
-                        capped = emit()
-                    if capped:
-                        return "stopped"
+                if child & mid:  # some open column has two options or more: descend
+                    if narrow:
+                        least = 1
+                        while (col := fields.find(least)) < 0:
+                            least += 1
+                    stack.append(p)
+                    frames.append((active, sizes, rows))
+                    active, sizes, rows = left, child, left & cols[col]
                     continue
-                if narrow:
-                    least = 1
-                    while (col := fields.find(least)) < 0:
-                        least += 1
-                stack.append(p)
-                frames.append((active, sizes, rows))
-                active, sizes, rows = left, child, left & cols[col]
-        finally:
-            self.nodes = nodes
-
-
-def _search(instance, option_order, store, max_solutions, node_limit):
-    """(outcome, solutions, count, nodes) of one run; its per-option
-    tables are freed before the caller copies and checks the solutions."""
-    run = _Run(instance, option_order, store, max_solutions, node_limit)
-    return run.search(), run.solutions, run.count, run.nodes
+                nodes += left.bit_count()  # a forced tail: its tries, settled here
+                if nodes > limit:
+                    return "budget", solutions, count, limit + 1
+            count += 1  # a cover: p left no option, or p and its forced tail
+            if store:
+                solutions.append(tuple(sorted(order[i] for i in (*stack, p, *bit_ids(left)))))
+            if count >= cap:
+                return "stopped", solutions, count, nodes
 
 
 # ----------------------------------------------------------------------
@@ -311,8 +290,8 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     if instance.n_elements == 0:  # one solution, the empty cover, and no node
         outcome, found, count, nodes = "completed", [()] if mode != "count" else [], 1, 0
     else:
-        outcome, found, count, nodes = _search(instance, option_order, mode != "count",
-                                               max_solutions, node_limit)
+        outcome, found, count, nodes = _Run(instance, option_order).search(
+            mode != "count", max_solutions, node_limit)  # its tables are freed here
     solutions = tuple(found)
     options, cover = instance.options, ((1 << instance.n_elements) - 1, 0)
     for sol in solutions:
@@ -398,10 +377,9 @@ def _two_levels(enumerate_first, structure, n_elements, label, mode, kwargs):
                                 **{k: v for k, v in kwargs.items() if k != "max_solutions"})
     except BudgetExceededError as exc:
         raise BudgetExceededError(f"first level ({label} enumeration): {exc}") from exc
-    instance = ExactCoverInstance(
-        n_elements=n_elements,
-        options=tuple(mask_of(sol) for sol in first.solutions),
-        names=tuple(f"{label}-{i}" for i in range(len(first.solutions))))
+    instance = exact_cover_instance(
+        n_elements, first.solutions,
+        names=(f"{label}-{i}" for i in range(len(first.solutions))))
     return solve_exact_cover(instance, mode, **kwargs)
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import qgeom
-from qgeom import designs, gf, search
+from qgeom import designs, gf, gq, search
 from qgeom.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -342,6 +342,16 @@ def test_gq_iso_negative(tmp_path, capsys):
     run(capsys, "gq", "build", "--type", "W", "--q", "2", "--out", str(w2))
     run(capsys, "gq", "build", "--type", "W", "--q", "3", "--out", str(w3))
     code, out, _ = run(capsys, "gq", "iso", str(w2), str(w3))
+    assert code == EXIT_ERROR and out.strip() == "not isomorphic"
+
+
+def test_gq_iso_negative_found_by_the_search(tmp_path, capsys):
+    # a 6-cycle and two triangles agree in every count and degree
+    hexagon, triangles = tmp_path / "hexagon.json", tmp_path / "triangles.json"
+    for path, lines in ((hexagon, [(i, (i + 1) % 6) for i in range(6)]),
+                        (triangles, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])):
+        path.write_text(json.dumps(gq.structure_to_json(gq.incidence_from_lines(6, lines))))
+    code, out, _ = run(capsys, "gq", "iso", str(hexagon), str(triangles))
     assert code == EXIT_ERROR and out.strip() == "not isomorphic"
 
 

@@ -402,6 +402,8 @@ def _malformed_block_set(case):
         return BlockSet(v=4, q=2, k=2, blocks=frozenset())
     if case == "overlapping":
         return block_set(_overlapping_blocks("crossing pair"))
+    if case == "five lines, two meeting":  # 5 x 3 points: only the union can refuse it
+        return block_set(enumerate_subspaces(4, 2, F2)[:5])
     return block_set(desarguesian_spread(4, 2, F3).sorted_blocks()[1:])  # one block short
 
 
@@ -409,7 +411,7 @@ def _malformed_block_set(case):
     ("k = v", ValueError), ("k = 0", ValueError), ("q = 6", ValueError),
     ("empty, q = 17", OutOfRangeError),
     ("empty", NotASpreadError), ("overlapping", NotASpreadError),
-    ("Desarguesian minus a block", NotASpreadError),
+    ("five lines, two meeting", NotASpreadError), ("Desarguesian minus a block", NotASpreadError),
 ])
 def test_geometric_check_of_malformed_block_sets(case, error):
     with pytest.raises(error) as err:

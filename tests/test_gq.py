@@ -274,6 +274,17 @@ def test_nonisomorphic_same_size_certified():
     assert is_isomorphic(grid, other) is None
 
 
+def test_nonisomorphic_with_equal_counts_and_degrees_is_certified_by_the_search():
+    # as graphs (2-point lines), a 6-cycle and two triangles agree in every
+    # count and degree, so only the exhausted search can say no
+    hexagon = incidence_from_lines(6, [(i, (i + 1) % 6) for i in range(6)])
+    triangles = incidence_from_lines(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    for a, b in ((hexagon, triangles), (triangles, hexagon)):
+        with pytest.raises(BudgetExceededError):
+            is_isomorphic(a, b, node_limit=20)
+        assert is_isomorphic(a, b, node_limit=100) is None
+
+
 def test_isomorphism_search_is_deeper_than_the_recursion_limit():
     # a 32 x 32 grid has 1,088 vertices, one search level each; the second
     # copy numbers its points and lines backwards
@@ -557,6 +568,11 @@ def test_incidence_invariants():
         incidence_from_lines(4, [(0, 1), (2, 3), (0, 1, 2)][:2] + [(2, 3)])
     with pytest.raises(UnknownIdError):
         incidence_from_lines(2, [(0, 5)])
+
+
+def test_points_on_the_same_lines_are_refused():
+    with pytest.raises(ValueError, match="^two points lie on exactly the same lines$"):
+        incidence_from_lines(3, [(0, 1, 2)])
 
 
 def test_structure_json_round_trip_with_labels():

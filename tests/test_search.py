@@ -26,6 +26,7 @@ from qgeom.gq import build_q4, build_w, incidence_from_lines, is_gq_ovoid, is_gq
 from qgeom.projspace import (
     bit_ids,
     enumerate_subspaces,
+    mask_of,
     point_index,
     point_mask,
     q_number,
@@ -366,7 +367,7 @@ def test_partition_root_children_without_options_match_algorithm_x(q):
     ovoids = solve_exact_cover(gq_ovoid_instance(q4), "all").solutions
     instance = exact_cover_instance(q4.n_points, ovoids)
     order = tuple(range(len(ovoids)))
-    run = _Run(instance, order, True, None, None)
+    run = _Run(instance, order)
     assert all(run.active & run.conflict[p] == run.active for p in order)
     cert = solve_exact_cover(instance, "all")
     found, nodes, _ = _algorithm_x(instance, order)
@@ -375,14 +376,24 @@ def test_partition_root_children_without_options_match_algorithm_x(q):
 
 def test_wide_columns_use_sixteen_bit_sizes():
     # every nonempty subset of 8 elements: element 0 lies in 128 options,
-    # one past what an 8-bit size field with its covered tag can hold
-    instance = ExactCoverInstance(8, tuple(range(1, 256)))
-    order = tuple(range(255))
-    assert _Run(instance, order, True, None, None).nbytes == 16
-    cert = solve_exact_cover(instance, "all")
-    assert cert.solution_count == 4140  # the Bell number B_8
-    found, nodes, _ = _algorithm_x(instance, order)
-    assert cert.solutions == tuple(found) and cert.nodes_visited == nodes
+    # one past what an 8-bit size field with its covered tag can hold;
+    # four more options on elements 8..12 give the 16-bit walk a try that
+    # leaves an open column empty; three on 8..11 give it one that leaves
+    # one column empty and the other with one option: a dead end, though no
+    # size has a bit of mid set
+    bell = tuple(range(1, 256))
+    dead_end = tuple(mask_of(s) for s in ({8, 9}, {9, 12}, {8, 9, 12}, {10, 11}))
+    no_tail = tuple(mask_of(s) for s in (range(10), {9, 10}, {11}))
+    for n, options, count, nodes in ((8, bell, 4140, 8279),  # 4140 = Bell B_8
+                                     (13, bell + dead_end, 4140, 8282),
+                                     (12, bell + no_tail, 0, 1)):
+        instance = ExactCoverInstance(n, options)
+        order = tuple(range(len(options)))
+        assert _Run(instance, order).nbytes == 2 * n
+        cert = solve_exact_cover(instance, "all")
+        assert (cert.solution_count, cert.nodes_visited) == (count, nodes)
+        found, oracle_nodes, _ = _algorithm_x(instance, order)
+        assert cert.solutions == tuple(found) and nodes == oracle_nodes
 
 
 # ----------------------------------------------------------------------
@@ -614,11 +625,10 @@ def test_a_certificate_missing_a_key_names_it():
 
 @pytest.mark.parametrize("emitted", [(0, 0), (0,)])  # an overlap, a gap
 def test_an_emitted_non_cover_is_refused(emitted, monkeypatch):
-    def emit(run):
-        run.count += 1
-        run.solutions.append(emitted)
+    def search(run, store, max_solutions, node_limit):
+        return "completed", [emitted], 1, 1
 
-    monkeypatch.setattr(_Run, "emit", emit)
+    monkeypatch.setattr(_Run, "search", search)
     with pytest.raises(RuntimeError, match="^internal: emitted solution is not an exact cover$"):
         enumerate_gq_ovoids(build_q4(2))
 
