@@ -465,7 +465,8 @@ def structure_from_json(obj: dict) -> IncidenceStructure:
     is allocated for it.
 
     Lines are distinct point sets, and at most one of them is empty, so
-    a structure with N incidences has at most N + 1 lines.
+    a structure with N incidences has at most N + 1 lines.  No two points,
+    and no two lines, may carry the same label.
     """
     obj = json_object(obj, "structure", "points", "lines", "incidence")
     n_points, n_lines, incidence = obj["points"], obj["lines"], obj["incidence"]
@@ -490,9 +491,15 @@ def structure_from_json(obj: dict) -> IncidenceStructure:
     labels = json_object(obj.get("labels") or {}, "labels")
     decoded = {}
     for kind, count in (("points", n_points), ("lines", n_lines)):
-        given = labels.get(kind)
-        if given is not None and not (isinstance(given, list) and len(given) == count):
+        given = decoded[kind] = labels.get(kind)
+        if given is None:
+            continue
+        if not (isinstance(given, list) and len(given) == count):
             raise PayloadError(f"{kind[:-1]} labels must be a list of {count} subspaces")
-        decoded[kind] = None if given is None else [subspace_from_json(x) for x in given]
+        decoded[kind] = [subspace_from_json(x) for x in given]
+        distinct = len(set(decoded[kind]))
+        if distinct != count:
+            raise PayloadError(f"{kind[:-1]} labels list {count} subspaces, "
+                               f"{distinct} of them distinct")
     return incidence_from_lines(n_points, per_line, point_labels=decoded["points"],
                                 line_labels=decoded["lines"])

@@ -15,6 +15,9 @@ A basis is validated where it enters from outside: the public
 here (``rref`` output, enumeration, ``point_at``, the zero and full space) and
 in ``designs`` (Desarguesian spread blocks, ``cone_over`` lifts) are
 RREF by construction and are wrapped by ``_canonical`` without the check.
+``_canonical`` stores the four fields with ``object.__setattr__``, as the
+frozen dataclass's own ``__init__`` does, so an instance keeps its fields
+inline and no per-instance ``__dict__`` is built for it.
 
 A subspace's point mask (``point_mask``) is computed on first use and
 memoized on that subspace object, so it lives as long as the caller keeps
@@ -170,7 +173,11 @@ class Subspace:
 def _canonical(v: int, k: int, q: int, basis) -> Subspace:
     """A Subspace over a basis that is RREF by construction, unvalidated."""
     U = object.__new__(Subspace)
-    U.__dict__.update(v=v, k=k, q=q, basis=basis)
+    setattr_ = object.__setattr__  # U.__dict__ would build a dict per instance
+    setattr_(U, "v", v)
+    setattr_(U, "k", k)
+    setattr_(U, "q", q)
+    setattr_(U, "basis", basis)
     return U
 
 

@@ -266,6 +266,20 @@ def test_no_module_reads_the_process_environment():
     assert found == []
 
 
+def test_no_module_touches_an_instance_dict():
+    """On CPython 3.11 and later, reading an instance's __dict__ builds a
+    dict next to its inline attribute values, so nothing under qgeom/ may
+    name __dict__ or call vars."""
+    found = []
+    for path in sorted((REPO / "src" / "qgeom").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                    or isinstance(node, ast.Name) and node.id in {"__dict__", "vars"}
+                    or isinstance(node, ast.Constant) and node.value == "__dict__"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 # Every process-lifetime cache in qgeom/ and the key that bounds it.  A
 # cache keyed by anything larger, such as a Grassmannian per (v, k, q),
 # would pin what its callers drop; a new cache joins this list on purpose.
@@ -568,6 +582,35 @@ def test_structure_counts_must_agree(argv, mutate, message, tmp_path, capsys):
     code, out, err = run(capsys, *argv, str(f))
     _one_error_line(code, out, err)
     assert message in err
+
+
+_POINT = {"v": 3, "k": 1, "q": 2, "rows": [[1, 0, 0]]}
+_LINE = {"v": 3, "k": 2, "q": 2, "rows": [[1, 0, 0], [0, 1, 0]]}
+
+
+@pytest.mark.parametrize("labels,message", [
+    ({"points": [_POINT, _POINT], "lines": [_LINE, _LINE]},
+     "error: point labels list 2 subspaces, 1 of them distinct\n"),
+    ({"lines": [_LINE, _LINE]}, "error: line labels list 2 subspaces, 1 of them distinct\n"),
+])
+@pytest.mark.parametrize("argv", [("gq", "dual"), ("gq", "check")])
+def test_a_label_carried_twice_is_rejected(argv, labels, message, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"schema_version": 1, "points": 2, "lines": 2,
+                             "incidence": [[0], [1]], "labels": labels}))
+    code, out, err = run(capsys, *argv, str(f))
+    _one_error_line(code, out, err)
+    assert err == message
+
+
+@pytest.mark.parametrize("kind", ["points", "lines"])
+def test_a_built_label_copied_over_another_is_rejected(kind, tmp_path, capsys):
+    f, payload = _w2_payload(tmp_path, capsys)
+    payload["labels"][kind][0] = payload["labels"][kind][1]
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "gq", "dual", str(f))
+    _one_error_line(code, out, err)
+    assert err == f"error: {kind[:-1]} labels list 15 subspaces, 14 of them distinct\n"
 
 
 @pytest.mark.parametrize("field,value", [("v", "4"), ("k", None), ("q", 2.0), ("blocks", "x")])

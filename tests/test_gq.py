@@ -17,6 +17,7 @@ from qgeom.errors import (
     BudgetExceededError,
     MissingLabelsError,
     OutOfRangeError,
+    PayloadError,
     UnknownIdError,
 )
 from qgeom.gf import dot, field_new, ops_for_order
@@ -593,3 +594,13 @@ def test_structure_from_json_rejects_unknown_line_ids(line_id):
            "incidence": [[0], [line_id]]}
     with pytest.raises(UnknownIdError):
         structure_from_json(obj)
+
+
+@pytest.mark.parametrize("kind", ["points", "lines"])
+def test_structure_from_json_refuses_a_repeated_label(kind):
+    payload = structure_to_json(build_w(2))
+    labels = payload["labels"][kind]
+    labels[-1] = labels[0]
+    with pytest.raises(PayloadError,
+                       match=f"^{kind[:-1]} labels list 15 subspaces, 14 of them distinct$"):
+        structure_from_json(payload)

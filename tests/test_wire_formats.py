@@ -54,12 +54,14 @@ def _structures(draw):
     lines = draw(st.permutations(lines))
     v, q = draw(st.sampled_from(AMBIENTS))
     pool = [U for k in range(v + 1) for U in _grassmannian(v, k, q)]
-    labels = st.none() | st.lists(st.sampled_from(pool), min_size=len(lines),
-                                  max_size=len(lines))
-    return incidence_from_lines(
-        n, lines,
-        point_labels=draw(st.none() | st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
-        line_labels=draw(labels))
+
+    def labels(count):  # distinct labels, when the pool has enough of them
+        if count > len(pool):
+            return st.none()
+        return st.none() | st.lists(st.sampled_from(pool), min_size=count, max_size=count,
+                                    unique=True)
+    return incidence_from_lines(n, lines, point_labels=draw(labels(n)),
+                                line_labels=draw(labels(len(lines))))
 
 
 @settings(max_examples=100, deadline=None)
