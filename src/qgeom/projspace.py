@@ -15,9 +15,12 @@ A basis is validated where it enters from outside: the public
 here (``rref`` output, enumeration, ``point_at``, the zero and full space) and
 in ``designs`` (Desarguesian spread blocks, ``cone_over`` lifts) are
 RREF by construction and are wrapped by ``_canonical`` without the check.
-``_canonical`` stores the four fields with ``object.__setattr__``, as the
-frozen dataclass's own ``__init__`` does, so an instance keeps its fields
-inline and no per-instance ``__dict__`` is built for it.
+A ``Subspace`` is one tuple ``(v, k, q, basis)``: it hashes, compares and
+sorts as that plain tuple does, equals it, and takes no weak reference.
+``_canonical`` builds it with ``tuple.__new__``, past the check in
+``Subspace.__new__``; ``_make``, ``_replace``, pickling and copying all go
+through the check.  An enumerated subspace takes about 170 B with its
+basis (the 200,787 of (8,4,2) add about 38 MB to the resident set).
 
 A subspace's point mask (``point_mask``) is computed on first use and
 memoized on that subspace object, so it lives as long as the caller keeps
@@ -36,7 +39,8 @@ and ``meet``/``dualize`` hand ``_kernel`` a matrix that is already RREF.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -94,22 +98,26 @@ def rref(rows, q: int) -> tuple[tuple[int, ...], ...]:
     ncols = len(m[0]) if m else 0
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        if m[r][c] != 1:
-            scale = mul[inv[m[r][c]]]
-            m[r] = [scale[x] for x in m[r]]
-        lead = m[r]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                scale = mul[m[i][c]]
-                m[i] = [sub[x][scale[y]] for x, y in zip(m[i], lead)]
+        lead = m[piv]
+        m[piv] = m[r]
+        if lead[c] != 1:
+            scale = mul[inv[lead[c]]]
+            lead = [scale[x] for x in lead]
+        m[r] = lead
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                scale = mul[f]
+                m[i] = [sub[x][scale[y]] for x, y in zip(row, lead)]
         r += 1
         if r == nrows:
             break
-    return tuple(tuple(row) for row in m[:r])
+    return tuple(map(tuple, m[:r]))
 
 
 def _pivot_cols(basis) -> tuple[int, ...]:
@@ -121,30 +129,24 @@ def _pivot_cols(basis) -> tuple[int, ...]:
 # Subspaces
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class Subspace:
+class Subspace(namedtuple("_SubspaceFields", "v k q basis")):
     """A k-subspace of F_q^v as its unique RREF basis matrix.
 
     The geometric names follow k = 1, 2, 3, 4, v-1: point, line, plane,
     solid, hyperplane.
     """
 
-    v: int
-    k: int
-    q: int
-    basis: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if not 0 <= self.k <= self.v:
-            raise ValueError(f"dimension k={self.k} outside [0, {self.v}]")
-        if len(self.basis) != self.k or any(len(r) != self.v for r in self.basis):
+    def __new__(cls, v: int, k: int, q: int, basis: tuple[tuple[int, ...], ...]):
+        if not 0 <= k <= v:
+            raise ValueError(f"dimension k={k} outside [0, {v}]")
+        if len(basis) != k or any(len(r) != v for r in basis):
             raise ValueError("basis shape does not match (k, v)")
-        ops_for_order(self.q)  # field_new(q) once per q: raises unless q is a field order
+        ops_for_order(q)  # field_new(q) once per q: raises unless q is a field order
         pivots = []
-        for row in self.basis:
+        for row in basis:
             for x in row:
-                if type(x) is not int or not 0 <= x < self.q:
-                    raise ValueError(f"basis entries must be field elements in [0, {self.q})")
+                if type(x) is not int or not 0 <= x < q:
+                    raise ValueError(f"basis entries must be field elements in [0, {q})")
             p = next((c for c, x in enumerate(row) if x), None)
             if p is None or row[p] != 1:
                 raise ValueError("basis is not in reduced row-echelon form")
@@ -152,8 +154,22 @@ class Subspace:
         if any(a >= b for a, b in zip(pivots, pivots[1:])):
             raise ValueError("pivot columns must strictly increase")
         for i, p in enumerate(pivots):
-            if any(self.basis[j][p] != 0 for j in range(self.k) if j != i):
+            if any(basis[j][p] != 0 for j in range(k) if j != i):
                 raise ValueError("pivot columns must be cleared")
+        return super().__new__(cls, v, k, q, basis)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # through the check, which namedtuple's _make skips
+
+    def __reduce__(self):
+        return Subspace, tuple(self)  # pickle and copy rebuild through the check
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
         rows = ",".join("".join(map(str, r)) for r in self.basis)
@@ -172,13 +188,7 @@ class Subspace:
 
 def _canonical(v: int, k: int, q: int, basis) -> Subspace:
     """A Subspace over a basis that is RREF by construction, unvalidated."""
-    U = object.__new__(Subspace)
-    setattr_ = object.__setattr__  # U.__dict__ would build a dict per instance
-    setattr_(U, "v", v)
-    setattr_(U, "k", k)
-    setattr_(U, "q", q)
-    setattr_(U, "basis", basis)
-    return U
+    return tuple.__new__(Subspace, (v, k, q, basis))
 
 
 def subspace_from_rows(rows, v: int, q: int) -> Subspace:

@@ -280,6 +280,25 @@ def test_no_module_touches_an_instance_dict():
     assert found == []
 
 
+def test_only_canonical_builds_a_subspace_unchecked():
+    """tuple.__new__ skips Subspace's validating __new__, so under qgeom/
+    it may be called only in projspace._canonical, on Subspace itself."""
+    found = []
+    for path in sorted((REPO / "src" / "qgeom").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}  # each node to its innermost function: ast.walk goes outside in
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "__new__"
+                    and getattr(node.func.value, "id", None) == "tuple"):
+                found.append((path.name, owner.get(node, "<module>"),
+                              ast.unparse(node.args[0]) if node.args else None))
+    assert found == [("projspace.py", "_canonical", "Subspace")]
+
+
 # Every process-lifetime cache in qgeom/ and the key that bounds it.  A
 # cache keyed by anything larger, such as a Grassmannian per (v, k, q),
 # would pin what its callers drop; a new cache joins this list on purpose.

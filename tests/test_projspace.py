@@ -5,12 +5,15 @@ Gaussian binomial product formula versus RREF generation, plus (for the
 small cases) a span-closure oracle that never touches echelon forms.
 """
 
+import copy
 import gc
 import hashlib
 import itertools
+import pickle
+import random
 import sys
 import tracemalloc
-import weakref
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +55,7 @@ from qgeom.projspace import (
     quotient,
     restrict_filter,
     row_masks,
+    rref,
     subspace_from_json,
     subspace_from_rows,
     subspace_points,
@@ -147,16 +151,25 @@ def test_enumeration_budget_guard():
         enumerate_subspaces(24, 12, F2)
 
 
+def _live_subspaces(v, k, q):
+    """How many Subspace objects of F_q^v of dimension k the interpreter
+    holds; a subspace takes no weak reference, so the collector counts them."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if type(obj) is Subspace and obj[:3] == (v, k, q))
+
+
 def test_enumeration_keeps_nothing_after_the_caller_drops_it():
+    before = _live_subspaces(5, 2, 3)
     first = enumerate_subspaces(5, 2, F3)
     second = enumerate_subspaces(5, 2, F3)
-    assert second == first == sorted(first) and len(first) == gaussian_binomial(5, 2, 3)
-    probe = weakref.ref(first[0])
+    count = gaussian_binomial(5, 2, 3)
+    assert second == first == sorted(first) and len(first) == count
+    assert _live_subspaces(5, 2, 3) == before + 2 * count  # each call builds its own
     first.clear()  # a caller's list is its own
     assert enumerate_subspaces(5, 2, F3) == second
     del first, second
-    gc.collect()
-    assert probe() is None
+    assert _live_subspaces(5, 2, 3) == before
 
 
 # ----------------------------------------------------------------------
@@ -460,14 +473,15 @@ def test_validating_constructor_accepts_every_constructed_subspace(v, q):
         assert twin == U and hash(twin) == hash(U) and repr(twin) == repr(U)
     for k in range(v + 1):
         grassmannian = enumerate_subspaces(v, k, spec)
-        assert grassmannian == sorted(map(_revalidated, grassmannian))  # dataclass order
+        assert grassmannian == sorted(map(_revalidated, grassmannian))  # tuple order
 
 
 @pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
-                    reason="the inline attribute values of CPython 3.11 and later")
+                    reason="object sizes of CPython 3.11 and later")
 def test_enumerated_subspaces_stay_lean():
-    """A subspace keeps its four fields inline, with no dict of its own:
-    about 180 B per subspace here, about 320 B with a dict."""
+    """A subspace is one tuple, with no dict of its own until its point
+    mask is memoized: about 168 B per subspace here, bound at 180 B (a
+    7 % margin); the frozen dataclass it replaced took about 185 B."""
     gc.collect()  # empties the free lists, so every tuple built below is traced
     tracemalloc.start()
     try:
@@ -475,7 +489,7 @@ def test_enumerated_subspaces_stay_lean():
         used = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert used / len(subspaces) <= 240
+    assert used / len(subspaces) <= 180
 
 
 def test_unvalidated_and_validated_construction_agree(monkeypatch):
@@ -495,27 +509,103 @@ def test_unvalidated_and_validated_construction_agree(monkeypatch):
         assert calls == [(4, 3), (2, 3)]  # computed once, then read from U
 
 
+def test_a_subspace_is_frozen():
+    U = point_at(5, 4, 3)
+    for name in ("v", "k", "q", "basis", "_point_mask", "extra"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(U, name, 0)
+        with pytest.raises(FrozenInstanceError):
+            delattr(U, name)
+    assert U == point_at(5, 4, 3)
+
+
+@pytest.mark.parametrize("rebuild", [
+    *(lambda U, p=p: pickle.loads(pickle.dumps(U, protocol=p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy,
+    copy.deepcopy,
+])
+def test_pickle_and_copy_rebuild_through_the_check(rebuild):
+    U = subspace_from_rows([(1, 0, 2, 0), (0, 1, 1, 1)], 4, 3)
+    mask = point_mask(U)
+    twin = rebuild(U)
+    assert type(twin) is Subspace and twin == U and hash(twin) == hash(U)
+    assert vars(twin) == {} and point_mask(twin) == mask  # the mask is recomputed
+    bad = projspace._canonical(3, 2, 2, ((0, 1, 0), (1, 0, 0)))  # pivots decrease
+    with pytest.raises(ValueError, match="pivot columns must strictly increase"):
+        rebuild(bad)
+
+
+def test_make_and_replace_refuse_a_bad_basis():
+    U = Subspace(v=3, k=1, q=3, basis=((1, 2, 0),))
+    assert Subspace._make((3, 1, 3, ((1, 2, 0),))) == U
+    assert U._replace(basis=((0, 1, 2),)) == Subspace(v=3, k=1, q=3, basis=((0, 1, 2),))
+    with pytest.raises(ValueError, match="reduced row-echelon"):
+        Subspace._make((3, 1, 3, ((2, 1, 0),)))
+    with pytest.raises(ValueError, match="reduced row-echelon"):
+        U._replace(basis=((0, 0, 0),))
+    with pytest.raises(ValueError, match="outside"):
+        U._replace(k=4)
+    with pytest.raises(NotAPrimePowerError):
+        U._replace(q=6)
+
+
+def test_a_subspace_is_its_field_tuple():
+    U = subspace_from_rows([(1, 0, 2, 0), (0, 1, 1, 1)], 4, 3)
+    fields = (U.v, U.k, U.q, U.basis)
+    mask = point_mask(U)
+    assert vars(U) == {"_point_mask": mask}  # memoized on the instance itself
+    assert U == fields and hash(U) == hash(fields) and tuple(U) == fields
+
+
 def _rref_reference(rows, q):
-    """Row reduction with one field-method call per entry."""
+    """RREF in two passes: forward elimination to an echelon form that
+    keeps each pivot row unscaled, then back-substitution from the last
+    pivot up; inverses are found by search, not read from a table."""
     ops = arith(field_new(q))
-    m = [list(r) for r in rows]
-    nrows, ncols, r = len(m), len(m[0]) if m else 0, 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
+    m = [list(r) for r in rows if any(r)]
+    echelon, pivots = [], []
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i, r in enumerate(m) if r[c]), None)
+        if i is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        if m[r][c] != 1:
-            f = ops.inv(m[r][c])
-            m[r] = [ops.mul(f, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return tuple(tuple(row) for row in m[:r])
+        top = m.pop(i)
+        f = ops.neg(next(b for b in range(1, q) if ops.mul(top[c], b) == 1))
+        m = [r if not r[c] else [ops.add(x, ops.mul(ops.mul(f, r[c]), y)) for x, y in zip(r, top)]
+             for r in m]
+        echelon.append(top)
+        pivots.append(c)
+    for i in reversed(range(len(echelon))):
+        c = pivots[i]
+        f = next(b for b in range(1, q) if ops.mul(echelon[i][c], b) == 1)
+        echelon[i] = [ops.mul(f, x) for x in echelon[i]]
+        for j in range(i):
+            g = ops.neg(echelon[j][c])
+            echelon[j] = [ops.add(x, ops.mul(g, y)) for x, y in zip(echelon[j], echelon[i])]
+    return tuple(map(tuple, echelon))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_rref_agrees_with_a_two_pass_reference(q):
+    ops, rng = arith(field_new(q)), random.Random(q)
+    cases = [[], [()], [(), ()], [(0, 0, 0)], [(0, 0), (0, 0)]]
+    for _ in range(60):
+        v, n = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [tuple(rng.randrange(q) for _ in range(v)) for _ in range(n)]
+        cases.append(rows)
+        cases.append(rows + [(0,) * v] + rows[:2])  # a zero row and repeated rows
+    for v in range(1, 6):  # full rank: an upper unitriangular matrix, rows mixed
+        square = [[int(i == j) or (rng.randrange(q) if j > i else 0) for j in range(v)]
+                  for i in range(v)]
+        for _ in range(3 * (v - 1)):
+            i, j = rng.sample(range(v), 2)
+            f = rng.randrange(q)
+            square[i] = [ops.add(x, ops.mul(f, y)) for x, y in zip(square[i], square[j])]
+        rng.shuffle(square)
+        cases.append([tuple(r) for r in square])
+        assert rref(cases[-1], q) == tuple(tuple(int(i == j) for j in range(v)) for i in range(v))
+    for rows in cases:
+        assert rref(rows, q) == _rref_reference(rows, q)
 
 
 def _contains_reference(outer, inner):
