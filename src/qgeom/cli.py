@@ -297,10 +297,9 @@ def cmd_search_pg(io, args):
 # ----------------------------------------------------------------------
 
 def _derived(blocks, index):
-    """Der_P for point ``index`` of the block set's PG(v-1, q), after q and
-    the index are checked.  Only a block's rows bound v, so the point's
+    """Der_P for point ``index`` of the block set's PG(v-1, q), after the
+    index is checked.  Only a block's rows bound v, so the point's
     length-v vector is built only when there is a block."""
-    field_new(blocks.q)
     if not blocks.blocks:
         projspace.check_point_index(index, blocks.v, blocks.q)
         return designs.BlockSet(v=blocks.v - 1, q=blocks.q, k=blocks.k - 1, blocks=frozenset())
@@ -327,8 +326,10 @@ def cmd_design_check(io, args):
 
 def cmd_design_dual(io, args):
     blocks = designs.blockset_from_json(io.read_json(args.file))
-    form = projspace.dot_form(blocks.v, blocks.q)
-    dual, _ = designs.dual_design(blocks, form)
+    if blocks.blocks:  # only a block's rows bound v, so the v x v form waits for one
+        dual, _ = designs.dual_design(blocks, projspace.dot_form(blocks.v, blocks.q))
+    else:
+        dual = designs.BlockSet(v=blocks.v, q=blocks.q, k=blocks.v - blocks.k, blocks=frozenset())
     io.emit(designs.blockset_to_json(dual),
             f"dualized {len(blocks)} blocks to dimension {dual.k}", payload_is_output=True)
     return EXIT_OK

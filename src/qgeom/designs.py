@@ -26,7 +26,6 @@ from .errors import (
     PayloadError,
 )
 from .gf import (
-    MAX_FIELD_ORDER,
     FieldSpec,
     field_new,
     field_reduction,
@@ -88,7 +87,7 @@ class DesignParams:
 
 @dataclass(frozen=True)
 class BlockSet:
-    """A finite set of k-subspaces of F_q^v."""
+    """A finite set of k-subspaces of F_q^v, for a field order q <= 16."""
 
     v: int
     q: int
@@ -96,6 +95,7 @@ class BlockSet:
     blocks: frozenset[Subspace]
 
     def __post_init__(self):
+        field_new(self.q)
         if not 0 <= self.k <= self.v:
             raise ValueError(f"need 0 <= k <= v, got k={self.k} in v={self.v}")
         for B in self.blocks:
@@ -272,7 +272,7 @@ def spread_holes(blocks: BlockSet) -> frozenset[Subspace]:
     order) that meets an earlier one.
     """
     v, q = blocks.v, blocks.q
-    n_points = len(_point_ids(v, q))  # checks q, even when no block's mask would
+    n_points = len(_point_ids(v, q))
     cover, twice = disjoint_union(map(point_mask, blocks.sorted_blocks()))
     if twice:
         p = point_at((twice & -twice).bit_length() - 1, v, q)
@@ -303,9 +303,7 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
     Subspace order, which stops at the smallest bad join and reports it
     with its block count.
     """
-    if blocks.q > MAX_FIELD_ORDER:  # refused before DesignParams factors q
-        field_new(blocks.q)
-    DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)  # checks k and q
+    DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)  # checks k
     block_list = blocks.sorted_blocks()
     # A spread has [v]_q / [k]_q blocks.  Count them before any mask of
     # [v]_q bits is built, and without q^v when no block's rows bound v.

@@ -11,10 +11,10 @@ in id order; ``point_at`` finds the point of an id by arithmetic, without
 the table.
 
 A basis is validated where it enters from outside: the public
-``Subspace(...)`` constructor and ``subspace_from_json``.  Bases built
-here (``rref`` output, enumeration, ``point_at``, the zero and full space) and
-in ``designs`` (Desarguesian spread blocks, ``cone_over`` lifts) are
-RREF by construction and are wrapped by ``_canonical`` without the check.
+``Subspace(...)`` constructor, ``subspace_from_json`` and ``full_space``.
+Bases built here (``rref`` output, enumeration, ``point_at``) and in
+``designs`` (Desarguesian spread blocks, ``cone_over`` lifts) are RREF by
+construction and are wrapped by ``_canonical`` without the check.
 A ``Subspace`` is one tuple ``(v, k, q, basis)``: it hashes, compares and
 sorts as that plain tuple does, equals it, and takes no weak reference.
 ``_canonical`` builds it with ``tuple.__new__``, past the check in
@@ -201,7 +201,7 @@ def subspace_from_rows(rows, v: int, q: int) -> Subspace:
 
 def full_space(v: int, q: int) -> Subspace:
     ident = tuple(tuple(1 if i == j else 0 for j in range(v)) for i in range(v))
-    return _canonical(v, v, q, ident)
+    return Subspace(v, v, q, ident)
 
 
 def enumerate_subspaces(v: int, k: int, spec: FieldSpec) -> list[Subspace]:
@@ -494,6 +494,7 @@ class BilinearForm:
 
 def dot_form(v: int, q: int) -> BilinearForm:
     """The standard symmetric form with identity Gram matrix."""
+    ops_for_order(q)  # raises unless q is a field order
     gram = tuple(tuple(1 if i == j else 0 for j in range(v)) for i in range(v))
     return BilinearForm(gram=gram)
 
@@ -563,11 +564,7 @@ def line_pencil(P: Subspace, E: Subspace) -> list[Subspace]:
         raise ValueError("line_pencil expects a point and a plane")
     if not contains(E, P):
         raise NotIncidentError("the point does not lie in the plane")
-    lines = set()
-    for Q in subspace_points(E):
-        if Q != P:
-            lines.add(join(P, Q))
-    return sorted(lines)
+    return [L for L in subspaces_within(E, 2) if contains(L, P)]
 
 
 # ----------------------------------------------------------------------

@@ -1068,6 +1068,34 @@ def test_design_point_on_a_huge_empty_block_set(command, q, tmp_path, capsys):
     assert err == f"error: point index -1 outside PG({10 ** 7 - 1},{q})\n"
 
 
+def test_design_dual_of_a_huge_empty_block_set(tmp_path, capsys):
+    # a 46-byte payload: no v x v form may be built for it
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"v": 10 ** 7, "k": 1, "q": 2, "blocks": []}))
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "design", "dual", str(f))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 10 * 2 ** 20
+    assert code == EXIT_OK
+    assert out == '{"blocks":[],"k":9999999,"q":2,"schema_version":1,"v":10000000}\n'
+    assert err == "dualized 0 blocks to dimension 9999999\n"
+
+
+@pytest.mark.parametrize("q,message", [(6, "q=6 is not a prime power"),
+                                       (17, "q=17 exceeds the supported maximum 16")])
+def test_design_dual_refuses_an_empty_block_set_over_no_field(q, message, tmp_path, capsys):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"v": 3, "k": 1, "q": q, "blocks": []}))
+    code, out, err = run(capsys, "design", "dual", str(f))
+    _one_error_line(code, out, err)
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("k", ["0", "-2"])
 def test_design_spread_gen_refuses_a_degree_below_one(k, capsys):
     code, out, err = run(capsys, "design", "spread-gen", "--v", "4", "--k", k, "--q", "2")

@@ -36,6 +36,7 @@ from qgeom.errors import (
     AmbientMismatchError,
     BudgetExceededError,
     DerivedNotASpreadError,
+    NotAPrimePowerError,
     NotASpreadError,
     NotDivisibleError,
     NotPartialSpreadError,
@@ -54,6 +55,7 @@ from qgeom.projspace import (
     gaussian_binomial,
     join,
     meet,
+    point_at,
     point_index,
     point_mask,
     q_number,
@@ -61,6 +63,7 @@ from qgeom.projspace import (
     subspace_from_rows,
     subspace_points,
     subspaces_within,
+    symplectic_form,
 )
 from qgeom.search import enumerate_pg_line_spreads, pg_spread_blocks
 
@@ -389,6 +392,25 @@ def test_block_set_dimension_must_fit_the_space(v, k):
         BlockSet(v=v, q=2, k=k, blocks=frozenset())
 
 
+_RAW_Q_ENTRIES = {
+    "Subspace": lambda q: Subspace(v=2, k=1, q=q, basis=((1, 0),)),
+    "BlockSet": lambda q: BlockSet(v=4, q=q, k=2, blocks=frozenset()),
+    "full_space": lambda q: full_space(3, q),
+    "dot_form": lambda q: dot_form(3, q),
+    "symplectic_form": symplectic_form,
+    "point_at": lambda q: point_at(0, 3, q),
+    "blockset_from_json": lambda q: blockset_from_json({"v": 4, "q": q, "k": 2, "blocks": []}),
+}
+
+
+@pytest.mark.parametrize("q,error", [(6, NotAPrimePowerError), (17, OutOfRangeError)])
+@pytest.mark.parametrize("entry", sorted(_RAW_Q_ENTRIES))
+def test_every_entry_taking_a_raw_q_refuses_one_that_is_no_field_order(entry, q, error):
+    with pytest.raises(error) as err:
+        _RAW_Q_ENTRIES[entry](q)
+    assert type(err.value) is error
+
+
 def _malformed_block_set(case):
     if case == "k = v":
         return BlockSet(v=4, q=2, k=4, blocks=frozenset({full_space(4, 2)}))
@@ -408,7 +430,7 @@ def _malformed_block_set(case):
 
 
 @pytest.mark.parametrize("case,error", [
-    ("k = v", ValueError), ("k = 0", ValueError), ("q = 6", ValueError),
+    ("k = v", ValueError), ("k = 0", ValueError), ("q = 6", NotAPrimePowerError),
     ("empty, q = 17", OutOfRangeError),
     ("empty", NotASpreadError), ("overlapping", NotASpreadError),
     ("five lines, two meeting", NotASpreadError), ("Desarguesian minus a block", NotASpreadError),
@@ -425,9 +447,8 @@ def test_geometric_check_refuses_a_huge_q_before_factoring_it(monkeypatch):
 
     monkeypatch.setattr(designs, "prime_power_decomposition", no_factoring)
     monkeypatch.setattr(gf, "prime_power_decomposition", no_factoring)
-    huge = BlockSet(v=4, q=2 ** 61 - 1, k=2, blocks=frozenset())
     with pytest.raises(OutOfRangeError, match="^q=2305843009213693951 exceeds "):
-        is_geometric_spread(huge)
+        is_geometric_spread(BlockSet(v=4, q=2 ** 61 - 1, k=2, blocks=frozenset()))
 
 
 def test_nongeometric_witness_from_sampled_spread():

@@ -7,7 +7,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 import qgeom
@@ -22,7 +22,9 @@ from qgeom.errors import (
 )
 from qgeom.gf import dot, field_new, ops_for_order
 from qgeom.gq import (
+    GQCheck,
     GQOrder,
+    IncidenceStructure,
     build_q4,
     build_w,
     check_gq,
@@ -219,6 +221,107 @@ def test_two_lines_through_two_points_rejected_by_axioms():
     s = incidence_from_lines(5, [(0, 1, 2), (0, 1, 3), (0, 4)])
     verdict = check_gq(s)
     assert not verdict.axioms_ok
+
+
+def _check_gq_reference(structure):
+    """``check_gq`` as it was with its scan of all line pairs for axioms
+    (i)+(ii), ahead of the projection pass."""
+    np_, nl = structure.n_points, structure.n_lines
+    if np_ == 0 or nl == 0:
+        return GQCheck(False, None, False, "point and line sets must be non-empty")
+    lm = structure.line_masks
+    # axioms (i)+(ii): no two points on two common lines
+    for j in range(nl):
+        for j2 in range(j + 1, nl):
+            inter = lm[j] & lm[j2]
+            if inter.bit_count() > 1:
+                return GQCheck(False, None, False,
+                               f"lines {j} and {j2} share two points")
+    coll = []
+    for i in range(np_):
+        m = 0
+        for j in structure.point_lines[i]:
+            m |= lm[j]
+        coll.append(m)
+    full = (1 << np_) - 1
+    degenerate = any(coll[i] | (1 << i) == full and structure.point_lines[i]
+                     for i in range(np_))
+    # axiom (iii): unique projection of a point onto a non-incident line
+    for i in range(np_):
+        bit = 1 << i
+        ci = coll[i]
+        for j in range(nl):
+            if lm[j] & bit:
+                continue
+            c = (lm[j] & ci).bit_count()
+            if c != 1:
+                return GQCheck(False, None, degenerate,
+                               f"point {i} has {c} projections onto line {j}")
+    sizes = {len(pts) for pts in structure.line_points}
+    degrees = {len(ls) for ls in structure.point_lines}
+    order = None
+    if len(sizes) == 1 and len(degrees) == 1:
+        order = GQOrder(s=sizes.pop() - 1, t=degrees.pop() - 1)
+    return GQCheck(True, order, degenerate)
+
+
+_GRID_LINES = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)]
+_DUAL_GRID_LINES = [(i, 3 + j) for i in range(3) for j in range(3)]
+
+
+@st.composite
+def _small_structures(draw):
+    """A structure on at most 9 points built by ``incidence_from_lines``:
+    random lines, or the lines of the 3 x 3 grid or its dual, relabelled,
+    with at most one dropped and at most one random line added."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 9))
+        lines = draw(st.lists(st.frozensets(st.integers(0, n - 1)), max_size=12))
+    else:
+        n, base = draw(st.sampled_from([(9, _GRID_LINES), (6, _DUAL_GRID_LINES)]))
+        perm = draw(st.permutations(range(n)))
+        lines = [frozenset(perm[p] for p in L) for L in base]
+        if draw(st.booleans()):
+            lines.remove(draw(st.sampled_from(lines)))
+        if draw(st.booleans()):
+            lines.append(draw(st.frozensets(st.integers(0, n - 1))))
+    try:
+        return incidence_from_lines(n, dict.fromkeys(lines))
+    except ValueError:  # two points on the same lines
+        reject()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_structures())
+def test_check_gq_agrees_with_the_pair_scan_reference(s):
+    verdict, reference = check_gq(s), _check_gq_reference(s)
+    assert (verdict.axioms_ok, verdict.order) == (reference.axioms_ok, reference.order)
+    if "share two points" not in (reference.reason or ""):
+        assert verdict == reference  # the projection pass runs as it did
+    event(f"axioms hold: {reference.axioms_ok}, pair scan refused: {verdict != reference}")
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_check_gq_agrees_with_the_pair_scan_reference_on_the_classical_gqs(q):
+    for s in (build_w(q), build_q4(q)):
+        for t in (s, dualize_structure(s)):
+            assert check_gq(t) == _check_gq_reference(t) == GQCheck(True, GQOrder(q, q), False)
+
+
+def test_a_digon_is_refused_with_a_projection_witness():
+    s = incidence_from_lines(5, [(0, 1, 2), (0, 1, 3), (0, 4)])
+    assert _check_gq_reference(s) == GQCheck(False, None, False, "lines 0 and 1 share two points")
+    # point 2 sees 0 and 1 of line 1 along line 0; point 0 is collinear with all
+    assert check_gq(s) == GQCheck(False, None, True, "point 2 has 2 projections onto line 1")
+
+
+def test_a_repeated_line_built_directly_is_refused():
+    # incidence_from_lines refuses it; without the check, every point off
+    # the repeated line {0, 1} projects onto it once
+    s = IncidenceStructure(line_points=((0, 1), (0, 1), (1, 2)),
+                           point_lines=((0, 1), (0, 1, 2), (2,)))
+    assert check_gq(s) == GQCheck(False, None, False, "two lines have the same points")
+    assert not _check_gq_reference(s).axioms_ok
 
 
 # ----------------------------------------------------------------------

@@ -231,6 +231,25 @@ def test_pg_spread_trees_are_pinned():
         "67/10/d2ec5c3a54cfb21b"
 
 
+@pytest.mark.parametrize("instance,nodes", [
+    (gq_ovoid_instance(build_q4(3)), 280),
+    (pg_line_spread_instance(4, F2), 203),
+], ids=["Q(4,3) ovoids", "PG(3,2) spreads"])
+def test_a_recorded_option_order_replays_the_seeded_tree(instance, nodes):
+    seeded = solve_exact_cover(instance, "all", seed=0)
+    replay = solve_exact_cover(instance, "all", option_order=seeded.option_order)
+    assert seeded.nodes_visited == replay.nodes_visited == nodes
+    assert replay.solution_count == seeded.solution_count
+    assert replay.solutions == seeded.solutions
+    assert replay.option_order == seeded.option_order != tuple(range(len(instance.options)))
+    assert replay.seed is None and replay.digest == seeded.digest
+    with pytest.raises(ValueError, match="^give either option_order or seed, not both$"):
+        solve_exact_cover(instance, option_order=seeded.option_order, seed=0)
+    for bad in (seeded.option_order[1:], seeded.option_order[:-1] + seeded.option_order[:1]):
+        with pytest.raises(ValueError, match="^option_order must be a permutation "):
+            solve_exact_cover(instance, option_order=bad)
+
+
 @pytest.fixture(scope="module")
 def pg33_seeded():
     cert = solve_exact_cover(pg_line_spread_instance(4, F3), "all", seed=0)
