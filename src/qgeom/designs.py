@@ -55,7 +55,6 @@ from .projspace import (
     q_number,
     quotient,
     require_ambient,
-    require_enumerable,
     row_masks,
     subspace_from_json,
     subspace_to_json,
@@ -145,11 +144,10 @@ def is_design(blocks: BlockSet, params: DesignParams) -> DesignReport:
     if (blocks.v, blocks.q, blocks.k) != (params.v, params.q, params.k):
         raise ParamMismatchError(
             f"block set ({blocks.v},{blocks.k})_{blocks.q} does not match {params}")
-    spec = field_new(params.q)
-    require_enumerable(params.v, params.t, params.q)
+    t_spaces = enumerate_subspaces(params.v, params.t, field_new(params.q))
     block_masks = [point_mask(B) for B in blocks.sorted_blocks()]
     witnesses = []
-    for T in enumerate_subspaces(params.v, params.t, spec):
+    for T in t_spaces:
         tm = point_mask(T)
         c = sum(1 for m in block_masks if not tm & ~m)
         if c != params.lam:
@@ -413,7 +411,7 @@ def classify_solids(blocks: BlockSet, within: Subspace) -> SolidClassification:
         raise ValueError("solid classification expects plane blocks (k=3)")
     if within.k < 4:
         raise ValueError("need a subspace of dimension >= 4")
-    require_ambient(within.v, within.q, blocks.blocks)  # the masks read v coordinates a row
+    require_ambient(blocks.v, blocks.q, (within,))  # the masks read v coordinates a row
     masks = row_masks([row for B in blocks.blocks for row in B.basis], within.v, within.q)
     firsts = ((1 << 3 * len(blocks)) - 1) // 7  # bit 3b of each block b
     rich, poor = [], []

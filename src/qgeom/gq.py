@@ -12,13 +12,13 @@ per line and t+1 lines per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import lt
 
 from .errors import (
     BudgetExceededError,
     MissingLabelsError,
-    OutOfRangeError,
     PayloadError,
     UnknownIdError,
 )
@@ -54,21 +54,44 @@ class GQOrder:
 
 @dataclass(frozen=True)
 class IncidenceStructure:
-    """A finite point-line incidence structure with adjacency both ways.
+    """A finite point-line incidence structure, checked where it is built.
 
-    ``line_points[j]`` lists the point ids on line j (sorted), and
-    ``point_lines[i]`` the line ids through point i.  Optional labels
-    tie points/lines back to the subspaces of a geometric construction.
+    ``line_points[j]`` lists the point ids on line j, strictly increasing
+    in ``[0, n_points)``.  ``point_lines[i]``, the line ids through point i,
+    is computed from them.  No two lines have one point set and no two
+    points one pencil.  Optional labels, one per point or per line, tie
+    points/lines back to the subspaces of a geometric construction.
     """
 
+    n_points: int
     line_points: tuple[tuple[int, ...], ...]
-    point_lines: tuple[tuple[int, ...], ...]
     point_labels: tuple[Subspace, ...] | None = None
     line_labels: tuple[Subspace, ...] | None = None
+    point_lines: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def n_points(self) -> int:
-        return len(self.point_lines)
+    def __post_init__(self):
+        n = self.n_points
+        per_point = [[] for _ in range(n)]
+        seen = set()
+        for j, pts in enumerate(self.line_points):
+            if pts:
+                if not all(map(lt, pts, pts[1:])):
+                    raise ValueError(f"line {j} does not list strictly increasing point ids")
+                if pts[0] < 0 or pts[-1] >= n:
+                    raise UnknownIdError("line contains a point id outside the structure")
+            if pts in seen:
+                raise ValueError(f"two lines share the point set {pts}")
+            seen.add(pts)
+            for p in pts:
+                per_point[p].append(j)
+        point_lines = tuple(map(tuple, per_point))
+        if len(set(point_lines)) != n:
+            raise ValueError("two points lie on exactly the same lines")
+        for kind, labels, count in (("point", self.point_labels, n),
+                                    ("line", self.line_labels, self.n_lines)):
+            if labels is not None and len(labels) != count:
+                raise ValueError(f"{len(labels)} {kind} labels for {count} {kind}s")
+        object.__setattr__(self, "point_lines", point_lines)
 
     @property
     def n_lines(self) -> int:
@@ -104,31 +127,11 @@ class IncidenceStructure:
 
 def incidence_from_lines(n_points: int, lines,
                          point_labels=None, line_labels=None) -> IncidenceStructure:
-    """Build a structure from the point sets of its lines.
-
-    Enforces that no two lines share a point set and no two points share
-    a line pencil (no repeated rows or columns of the bit matrix).
-    """
-    line_points = []
-    seen = set()
-    for pts in lines:
-        pts = tuple(sorted(set(pts)))
-        if any(p < 0 or p >= n_points for p in pts):
-            raise UnknownIdError("line contains a point id outside the structure")
-        if pts in seen:
-            raise ValueError(f"two lines share the point set {pts}")
-        seen.add(pts)
-        line_points.append(pts)
-    per_point = [[] for _ in range(n_points)]
-    for j, pts in enumerate(line_points):
-        for p in pts:
-            per_point[p].append(j)
-    point_lines = tuple(tuple(ls) for ls in per_point)
-    if len(set(point_lines)) != n_points:
-        raise ValueError("two points lie on exactly the same lines")
+    """Build a structure from the point sets of its lines, in any order
+    and with repeats; the constructor checks the result."""
     return IncidenceStructure(
-        line_points=tuple(line_points),
-        point_lines=point_lines,
+        n_points=n_points,
+        line_points=tuple(tuple(sorted(set(pts))) for pts in lines),
         point_labels=tuple(point_labels) if point_labels is not None else None,
         line_labels=tuple(line_labels) if line_labels is not None else None,
     )
@@ -224,15 +227,14 @@ class GQCheck:
 def check_gq(structure: IncidenceStructure) -> GQCheck:
     """The GQ axioms as unique projections, with the order if they hold.
 
-    Axiom (iii) decides (ii) on lines with distinct point sets: if lines M
-    and M' share two points, a point of M' off M projects onto M twice or
-    more, or M' lies in M and a point of M off M' projects |M'| >= 2 times."""
+    Axiom (iii) decides (ii), as no two lines of a structure have one point
+    set: if lines M and M' share two points, a point of M' off M projects
+    onto M twice or more, or M' lies in M and a point of M off M' projects
+    |M'| >= 2 times."""
     np_, nl = structure.n_points, structure.n_lines
     if np_ == 0 or nl == 0:
         return GQCheck(False, None, False, "point and line sets must be non-empty")
     lm = structure.line_masks
-    if len(set(lm)) != nl:
-        return GQCheck(False, None, False, "two lines have the same points")
     coll = []
     for i in range(np_):
         m = 0
@@ -264,8 +266,8 @@ def check_gq(structure: IncidenceStructure) -> GQCheck:
 def dualize_structure(structure: IncidenceStructure) -> IncidenceStructure:
     """Swap the roles of points and lines; an involution."""
     return IncidenceStructure(
+        n_points=structure.n_lines,
         line_points=structure.point_lines,
-        point_lines=structure.line_points,
         point_labels=structure.line_labels,
         line_labels=structure.point_labels,
     )
@@ -403,22 +405,19 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     ``annihilated`` pass over ``q4.label_rows`` finds the labels inside
     the hyperplane.  The labels of the whole structure are checked for
     one ambient space and their kinds when those masks are built, once
-    per structure.
+    per structure, before the ovoid's rows are read.
     """
     if q4.point_labels is None or q4.line_labels is None:
         raise MissingLabelsError("structure carries no coordinate labels")
     ids = sorted(set(pointset))
     if not is_gq_ovoid(q4, ids):
         raise ValueError("point set is not an ovoid of the structure")
-    labels = [q4.point_labels[i] for i in ids]
-    v, q = labels[0].v, labels[0].q
-    require_ambient(v, q, labels)
-    if any(lab.k != 1 for lab in labels):
-        raise ValueError("an ovoid point is labelled by a subspace that is not a point")
-    normals = _hyperplane_normals([lab.basis[0] for lab in labels], v, q)
+    label_rows = q4.label_rows
+    v, q = q4.point_labels[0].v, q4.point_labels[0].q
+    normals = _hyperplane_normals([q4.point_labels[i].basis[0] for i in ids], v, q)
     if normals is None:
         return False
-    inside, n = annihilated(q4.label_rows, normals, q), q4.n_points
+    inside, n = annihilated(label_rows, normals, q), q4.n_points
     on_lines = inside >> n  # bits 2j and 2j + 1: the two rows of line j
     return (inside & ((1 << n) - 1) == mask_of(ids)
             and not on_lines & on_lines >> 1 & ((1 << 2 * q4.n_lines) - 1) // 3)
@@ -496,10 +495,10 @@ def structure_from_json(obj: dict) -> IncidenceStructure:
             continue
         if not (isinstance(given, list) and len(given) == count):
             raise PayloadError(f"{kind[:-1]} labels must be a list of {count} subspaces")
-        decoded[kind] = [subspace_from_json(x) for x in given]
+        decoded[kind] = tuple(map(subspace_from_json, given))
         distinct = len(set(decoded[kind]))
         if distinct != count:
             raise PayloadError(f"{kind[:-1]} labels list {count} subspaces, "
                                f"{distinct} of them distinct")
-    return incidence_from_lines(n_points, per_line, point_labels=decoded["points"],
-                                line_labels=decoded["lines"])
+    return IncidenceStructure(n_points, tuple(map(tuple, per_line)),
+                              point_labels=decoded["points"], line_labels=decoded["lines"])

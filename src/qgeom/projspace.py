@@ -362,7 +362,8 @@ def check_point_index(index: int, v: int, q: int) -> None:
     [v]_q >= 2^v - 1, so an index of fewer than v bits is in range
     without computing q^v.
     """
-    if index < 0 or (v <= index.bit_length() and index >= q_number(max(v, 0), q)):
+    ops_for_order(q)  # field_new(q) once per q: raises unless q is a field order
+    if index < 0 or (v <= index.bit_length() and index >= (q ** max(v, 0) - 1) // (q - 1)):
         raise OutOfRangeError(f"point index {index} outside PG({v - 1},{q})")
 
 
@@ -373,7 +374,6 @@ def point_at(index: int, v: int, q: int) -> Subspace:
     Points with more leading zeros come first; within one leading
     position the tail is the base-q digits of the offset.
     """
-    ops_for_order(q)  # field_new(q) once per q: raises unless q is a field order
     check_point_index(index, v, q)
     tail_len, offset = 0, index
     while offset >= q ** tail_len:

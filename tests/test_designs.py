@@ -727,6 +727,15 @@ def test_classify_solids_rejects_blocks_of_another_ambient(ambient):
         classify_solids(blocks, full_space(*ambient))
 
 
+def test_classify_solids_checks_the_ambient_of_an_empty_block_set():
+    # with no block to compare, only the block set's own (v, q) shows the mismatch
+    empty = block_set([], v=4, q=2, k=3)
+    with pytest.raises(AmbientMismatchError):
+        classify_solids(empty, full_space(5, 2))
+    with pytest.raises(AmbientMismatchError):
+        beta_flat_focus(empty, full_space(5, 2))
+
+
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------

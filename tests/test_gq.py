@@ -316,12 +316,10 @@ def test_a_digon_is_refused_with_a_projection_witness():
 
 
 def test_a_repeated_line_built_directly_is_refused():
-    # incidence_from_lines refuses it; without the check, every point off
-    # the repeated line {0, 1} projects onto it once
-    s = IncidenceStructure(line_points=((0, 1), (0, 1), (1, 2)),
-                           point_lines=((0, 1), (0, 1, 2), (2,)))
-    assert check_gq(s) == GQCheck(False, None, False, "two lines have the same points")
-    assert not _check_gq_reference(s).axioms_ok
+    # check_gq relies on this: every point off a repeated line {0, 1}
+    # would project onto it once
+    with pytest.raises(ValueError, match=r"^two lines share the point set \(0, 1\)$"):
+        IncidenceStructure(n_points=3, line_points=((0, 1), (0, 1), (1, 2)))
 
 
 # ----------------------------------------------------------------------
@@ -331,6 +329,24 @@ def test_a_repeated_line_built_directly_is_refused():
 def test_dual_is_an_involution():
     for s in (grid3x3(), build_w(2)):
         assert dualize_structure(dualize_structure(s)).line_points == s.line_points
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_dual_is_an_involution_with_labels_on_the_classical_gqs(q):
+    for s in (build_w(q), build_q4(q)):
+        dual = dualize_structure(s)
+        assert (dual.point_labels, dual.line_labels) == (s.line_labels, s.point_labels)
+        again = dualize_structure(dual)
+        assert again == s and again.point_lines == s.point_lines  # == compares the labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_structures())
+def test_dual_is_an_involution_on_small_structures(s):
+    dual = dualize_structure(s)
+    assert (dual.n_points, dual.line_points, dual.point_lines) == \
+        (s.n_lines, s.point_lines, s.line_points)
+    assert dualize_structure(dual) == s
 
 
 def test_dual_swaps_the_order():
@@ -560,10 +576,14 @@ def test_elliptic_check_rejects_mixed_ambient_labels():
     with pytest.raises(AmbientMismatchError):
         is_elliptic_quadric_ovoid(bad_points, ovoid)
     assert _elliptic_outcome(bad_points, ovoid) is AmbientMismatchError
-    # a rank-5 ovoid is refused before the other labels are looked at
+    # every label is checked before the ovoid's rank, so a rank-5 ovoid is
+    # refused too, where the reference answers before looking at the others
     swapped = list(bad_points.point_labels)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    assert _elliptic_outcome(replace(bad_points, point_labels=tuple(swapped)), ovoid) is False
+    rank5 = replace(bad_points, point_labels=tuple(swapped))
+    assert _elliptic_reference(rank5, ovoid) is False
+    with pytest.raises(AmbientMismatchError):
+        is_elliptic_quadric_ovoid(rank5, ovoid)
 
 
 def test_elliptic_check_false_verdicts():
@@ -601,7 +621,7 @@ def test_elliptic_check_rejects_a_line_label_on_an_ovoid_point():
     payload = structure_to_json(q4)
     payload["labels"]["points"][ovoid[2]] = subspace_to_json(q4.line_labels[0])
     relabelled = structure_from_json(payload)  # labels are not checked for kind here
-    with pytest.raises(ValueError, match="^an ovoid point is labelled by a .* not a point$"):
+    with pytest.raises(ValueError, match="^point labels must be points and line labels lines$"):
         is_elliptic_quadric_ovoid(relabelled, ovoid)
 
 
@@ -672,6 +692,63 @@ def test_incidence_invariants():
         incidence_from_lines(4, [(0, 1), (2, 3), (0, 1, 2)][:2] + [(2, 3)])
     with pytest.raises(UnknownIdError):
         incidence_from_lines(2, [(0, 5)])
+
+
+def _grid_with_labels():
+    """The 3 x 3 grid labelled by the points and lines of Q(4,2) (any
+    distinct subspaces of the right counts do here)."""
+    q4 = build_q4(2)
+    return replace(grid3x3(), point_labels=q4.point_labels[:9], line_labels=q4.line_labels[:6])
+
+
+_BROKEN_STRUCTURES = [  # (changes to the labelled grid, error, message)
+    ({"line_points": ((0, 2, 1),) + grid3x3().line_points[1:]}, ValueError,
+     r"^line 0 does not list strictly increasing point ids$"),
+    ({"line_points": ((0, 0, 1, 2),) + grid3x3().line_points[1:]}, ValueError,
+     r"^line 0 does not list strictly increasing point ids$"),
+    ({"line_points": ((-1, 0),) + grid3x3().line_points[1:]}, UnknownIdError,
+     r"^line contains a point id outside the structure$"),
+    ({"n_points": 8}, UnknownIdError, r"^line contains a point id outside the structure$"),
+    ({"line_points": grid3x3().line_points[:5] + ((0, 1, 2),)}, ValueError,
+     r"^two lines share the point set \(0, 1, 2\)$"),
+    ({"line_points": grid3x3().line_points[:3]}, ValueError,
+     r"^two points lie on exactly the same lines$"),
+    ({"n_points": 11}, ValueError, r"^two points lie on exactly the same lines$"),
+    ({"point_labels": build_q4(2).point_labels[:3]}, ValueError,
+     r"^3 point labels for 9 points$"),
+    ({"line_labels": build_q4(2).line_labels[:7]}, ValueError, r"^7 line labels for 6 lines$"),
+]
+
+
+@pytest.mark.parametrize("changes, error, message", _BROKEN_STRUCTURES)
+def test_the_constructor_refuses_a_broken_structure(changes, error, message):
+    grid = _grid_with_labels()
+    fields = {"n_points": 9, "line_points": grid.line_points,
+              "point_labels": grid.point_labels, "line_labels": grid.line_labels}
+    with pytest.raises(error, match=message):
+        IncidenceStructure(**{**fields, **changes})
+    with pytest.raises(error, match=message):
+        replace(grid, **changes)
+
+
+def test_point_lines_is_the_transpose_of_line_points():
+    for s in (grid3x3(), dualize_structure(grid3x3()), build_w(3), build_q4(3),
+              incidence_from_lines(4, [(3, 1), (), (2, 1, 0), (0, 3)])):
+        assert s.point_lines == tuple(
+            tuple(j for j, pts in enumerate(s.line_points) if p in pts)
+            for p in range(s.n_points))
+
+
+def test_the_grid_cannot_be_built_with_directions_that_disagree():
+    # pencils are computed from the lines: given this wrong pencil for
+    # point 8, the grid would count 4 ovoids instead of 6
+    g = grid3x3()
+    with pytest.raises(TypeError):
+        IncidenceStructure(n_points=9, line_points=g.line_points,
+                           point_lines=g.point_lines[:8] + ((0,),))
+    with pytest.raises(ValueError):
+        replace(g, point_lines=g.point_lines[:8] + ((0,),))
+    assert search.enumerate_gq_ovoids(g).solution_count == 6
 
 
 def test_points_on_the_same_lines_are_refused():

@@ -759,6 +759,19 @@ def test_point_at_refuses_an_order_that_is_no_field(index):
         point_at(index, 4, 6)
 
 
+def test_point_at_counts_no_subspaces(monkeypatch):
+    # the range check reads [v]_q off q^v, not off a Gaussian binomial per id
+    calls = []
+    real = projspace.gaussian_binomial
+    monkeypatch.setattr(projspace, "gaussian_binomial",
+                        lambda *args: calls.append(args) or real(*args))
+    for index in range(2 ** 14 - 1):
+        point_at(index, 14, 2)
+    assert calls == []
+    with pytest.raises(OutOfRangeError):
+        point_at(2 ** 14 - 1, 14, 2)
+
+
 def test_check_point_index_agrees_with_the_point_count():
     # indices around [v]_q and around 2^v, where the bit-length shortcut ends
     for v in range(-1, 7):
