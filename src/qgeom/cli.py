@@ -114,13 +114,18 @@ def _search_kwargs(args):
 
 
 def _int_at_least(low: int):
-    """argparse type: an exact integer >= low; accepts 1e7 style literals."""
+    """argparse type: an exact integer >= low; accepts 1e7 style literals.
+    Like ``int()``, it reads at most ``sys.get_int_max_str_digits()`` digits
+    (0: no limit), and it refuses a larger exponent before computing 10**e."""
     def parse(text: str) -> int:
+        digits = sys.get_int_max_str_digits()
         try:
-            value = Fraction(text)
+            _, e, exponent = text.lower().partition("e")
+            value = None if digits and e and abs(int(exponent)) > digits else Fraction(text)
         except (ValueError, ZeroDivisionError):
             value = None
-        if value is None or value.denominator != 1 or value < low:
+        if value is None or value.denominator != 1 or value < low or (
+                digits and abs(value) >= 10 ** digits):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return int(value)
     return parse

@@ -487,7 +487,8 @@ def structure_from_json(obj: dict) -> IncidenceStructure:
             if per_line[j] and per_line[j][-1] == p:
                 raise PayloadError(f"point {p} lists line id {j} twice")
             per_line[j].append(p)
-    labels = json_object(obj.get("labels") or {}, "labels")
+    labels = obj.get("labels")
+    labels = {} if labels is None else json_object(labels, "labels")
     decoded = {}
     for kind, count in (("points", n_points), ("lines", n_lines)):
         given = decoded[kind] = labels.get(kind)

@@ -10,8 +10,9 @@ downstream is bit-packed over these ids.  One cached table,
 in id order; ``point_at`` finds the point of an id by arithmetic, without
 the table.
 
-A basis is validated where it enters from outside: the public
-``Subspace(...)`` constructor, ``subspace_from_json`` and ``full_space``.
+A basis is validated where it enters from outside, by one check in the
+public ``Subspace(...)`` constructor that ``subspace_from_json`` and
+``full_space`` go through: ``rref`` must return it unchanged.
 Bases built here (``rref`` output, enumeration, ``point_at``) and in
 ``designs`` (Desarguesian spread blocks, ``cone_over`` lifts) are RREF by
 construction and are wrapped by ``_canonical`` without the check.
@@ -51,6 +52,7 @@ from .errors import (
     NotIncidentError,
     OutOfRangeError,
     PayloadError,
+    QGeomError,
 )
 from .gf import FieldSpec, dot, field_new, ops_for_order, prime_power_decomposition
 
@@ -139,23 +141,14 @@ class Subspace(namedtuple("_SubspaceFields", "v k q basis")):
     def __new__(cls, v: int, k: int, q: int, basis: tuple[tuple[int, ...], ...]):
         if not 0 <= k <= v:
             raise ValueError(f"dimension k={k} outside [0, {v}]")
-        if len(basis) != k or any(len(r) != v for r in basis):
-            raise ValueError("basis shape does not match (k, v)")
+        if type(basis) is not tuple or len(basis) != k or any(
+                type(r) is not tuple or len(r) != v for r in basis):
+            raise ValueError(f"basis must be a tuple of {k} rows, each a tuple of {v} entries")
         ops_for_order(q)  # field_new(q) once per q: raises unless q is a field order
-        pivots = []
-        for row in basis:
-            for x in row:
-                if type(x) is not int or not 0 <= x < q:
-                    raise ValueError(f"basis entries must be field elements in [0, {q})")
-            p = next((c for c, x in enumerate(row) if x), None)
-            if p is None or row[p] != 1:
-                raise ValueError("basis is not in reduced row-echelon form")
-            pivots.append(p)
-        if any(a >= b for a, b in zip(pivots, pivots[1:])):
-            raise ValueError("pivot columns must strictly increase")
-        for i, p in enumerate(pivots):
-            if any(basis[j][p] != 0 for j in range(k) if j != i):
-                raise ValueError("pivot columns must be cleared")
+        if any(type(x) is not int or not 0 <= x < q for row in basis for x in row):
+            raise ValueError(f"basis entries must be field elements in [0, {q})")
+        if rref(basis, q) != basis:  # RREF is unique: a basis is RREF iff rref keeps it
+            raise ValueError("basis is not in reduced row-echelon form")
         return super().__new__(cls, v, k, q, basis)
 
     @classmethod
@@ -590,12 +583,17 @@ def json_object(obj, what: str, *keys: str) -> dict:
 
 
 def subspace_from_json(obj: dict) -> Subspace:
+    """Decode a subspace payload; the basis is checked by ``Subspace(...)``,
+    whose ValueError names the payload at fault as a PayloadError."""
     obj = json_object(obj, "subspace", "v", "k", "q", "rows")
     v, k, q, rows = obj["v"], obj["k"], obj["q"], obj["rows"]
     if any(type(x) is not int for x in (v, k, q)):
         raise PayloadError("subspace v, k and q must be integers")
-    if not isinstance(rows, list) or not all(
-            isinstance(r, list) and all(type(x) is int and 0 <= x < q for x in r)
-            for r in rows):
-        raise PayloadError(f"subspace rows must be lists of field elements in [0, {q})")
-    return Subspace(v=v, k=k, q=q, basis=tuple(tuple(r) for r in rows))
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise PayloadError("subspace rows must be a list of lists")
+    try:
+        return Subspace(v, k, q, tuple(map(tuple, rows)))
+    except QGeomError:
+        raise
+    except ValueError as exc:
+        raise PayloadError(str(exc)) from exc

@@ -566,7 +566,21 @@ def test_labels_of_the_wrong_shape_are_rejected(labels, tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"schema_version": 1, "points": 2, "lines": 1,
                              "incidence": [[0], [0]], "labels": labels}))
-    _one_error_line(*run(capsys, "gq", "check", str(f)))
+    code, out, err = run(capsys, "gq", "check", str(f))
+    _one_error_line(code, out, err)
+    assert "labels must be" in err  # not the two points with one pencil, checked later
+
+
+@pytest.mark.parametrize("labels", [[], 0, False, ""])
+def test_labels_that_are_not_an_object_are_not_read_as_none(labels, tmp_path, capsys):
+    """Only an absent or null key means no labels; an empty value of
+    another type is refused, not dropped."""
+    f, payload = _w2_payload(tmp_path, capsys)
+    payload["labels"] = labels
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "gq", "dual", str(f))
+    _one_error_line(code, out, err)
+    assert err == f"error: labels must be a JSON object, not {type(labels).__name__}\n"
 
 
 def _short_point_labels(payload):
@@ -689,7 +703,7 @@ def test_line_label_with_decreasing_pivots_is_rejected(tmp_path, capsys):
     f.write_text(json.dumps(payload))
     code, out, err = run(capsys, "gq", "check", str(f))
     _one_error_line(code, out, err)
-    assert err == "error: pivot columns must strictly increase\n"
+    assert err == "error: basis is not in reduced row-echelon form\n"
 
 
 def test_line_label_with_an_uncleared_pivot_column_is_rejected(tmp_path, capsys):
@@ -701,7 +715,7 @@ def test_line_label_with_an_uncleared_pivot_column_is_rejected(tmp_path, capsys)
     f.write_text(json.dumps(payload))
     code, out, err = run(capsys, "gq", "check", str(f))
     _one_error_line(code, out, err)
-    assert "pivot columns must be cleared" in err
+    assert err == "error: basis is not in reduced row-echelon form\n"
 
 
 # ----------------------------------------------------------------------
@@ -776,6 +790,32 @@ def test_search_budget_flags_parse_exactly():
     assert args.limit == 9007199254740993 and type(args.limit) is int
     assert args.max_solutions == 10 ** 7 and type(args.max_solutions) is int
     assert build_parser().parse_args(["search", "ovoids", "x.json", "--limit", "0"]).limit == 0
+
+
+@pytest.mark.parametrize("flag", ["--limit", "--max-solutions"])
+def test_search_budget_flags_stop_at_the_int_digit_limit(flag, capsys):
+    """A budget may have as many digits as ``int()`` reads (4,300 by
+    default), however it is spelled; a longer one, or any exponent above
+    that limit, is a usage error before a power of ten is built.  A limit
+    of 0 lifts the bound, as it does for ``int()``."""
+    def parse(text):
+        args = build_parser().parse_args(["search", "ovoids", "x.json", flag, text])
+        return getattr(args, flag[2:].replace("-", "_"))
+
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert parse("1e4299") == parse("1" + "0" * 4299) == 10 ** 4299
+        for text in ("1e4300", "1" + "0" * 4300, "1e99999999", "1e-99999999"):
+            t0 = time.monotonic()
+            with pytest.raises(SystemExit) as exc:
+                parse(text)
+            assert exc.value.code == EXIT_USAGE and time.monotonic() - t0 < 1
+            assert f"argument {flag}: expected an integer" in capsys.readouterr().err
+        sys.set_int_max_str_digits(0)
+        assert parse("1e4300") == parse("1" + "0" * 4300) == 10 ** 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_search_pg_spreads_writes_spread_file(tmp_path, capsys):

@@ -532,7 +532,7 @@ def test_pickle_and_copy_rebuild_through_the_check(rebuild):
     assert type(twin) is Subspace and twin == U and hash(twin) == hash(U)
     assert vars(twin) == {} and point_mask(twin) == mask  # the mask is recomputed
     bad = projspace._canonical(3, 2, 2, ((0, 1, 0), (1, 0, 0)))  # pivots decrease
-    with pytest.raises(ValueError, match="pivot columns must strictly increase"):
+    with pytest.raises(ValueError, match="^basis is not in reduced row-echelon form$"):
         rebuild(bad)
 
 
@@ -704,6 +704,53 @@ def test_row_operations_agree_with_the_method_call_reference(case):
         for ci, brow in zip(c, U.basis):
             expected = [ops.add(x, ops.mul(ci, y)) for x, y in zip(expected, brow)]
         assert projspace._combine(c, U.basis, v, ops) == expected
+
+
+@st.composite
+def _candidate_bases(draw):
+    """(q, v, M) over the ranges of ``_row_sets``: M is a random matrix of at
+    most v rows, the reference RREF of one, or that RREF with one entry
+    changed, since a random matrix is rarely RREF."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    v = draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, q - 1), min_size=v, max_size=v)
+    rows = draw(st.lists(row, max_size=6))
+    kind = draw(st.sampled_from(["random", "rref", "perturbed"]))
+    if kind == "random":
+        rows = rows[:v]
+    else:
+        rows = [list(r) for r in _rref_reference(rows, q)]
+    if kind == "perturbed" and rows:
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, v - 1))
+        rows[i][j] = draw(st.integers(0, q - 1))
+    return q, v, tuple(map(tuple, rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_candidate_bases())
+@example((2, 3, ((0, 1, 0), (1, 0, 0))))  # pivots decrease
+@example((3, 3, ((1, 1, 0), (0, 1, 2))))  # a pivot column is not cleared
+@example((4, 2, ((1, 2),)))
+@example((5, 4, ()))
+@example((2, 3, ((1, 0, 0),)))  # RREF, but a list of lists is refused
+def test_a_basis_is_accepted_exactly_when_it_is_its_reference_rref(case):
+    q, v, basis = case
+    k = len(basis)
+    payload = {"v": v, "k": k, "q": q, "rows": [list(r) for r in basis]}
+    if basis == _rref_reference(basis, q):
+        U = Subspace(v, k, q, basis)
+        assert U.basis == basis and subspace_from_json(payload) == U
+    else:
+        message = "^basis is not in reduced row-echelon form$"
+        with pytest.raises(ValueError, match=message) as exc:
+            Subspace(v, k, q, basis)
+        assert not isinstance(exc.value, PayloadError)
+        with pytest.raises(PayloadError, match=message):
+            subspace_from_json(payload)
+    for listed in ([list(r) for r in basis], list(basis), tuple(map(list, basis))):
+        if listed != basis:  # () is the one tuple among them, when k = 0
+            with pytest.raises(ValueError, match="^basis must be a tuple of "):
+                Subspace(v, k, q, listed)
 
 
 def test_row_masks_refuse_a_huge_q_before_factoring_it(monkeypatch):
