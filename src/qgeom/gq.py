@@ -12,6 +12,7 @@ per line and t+1 lines per point.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import lt
@@ -30,6 +31,7 @@ from .projspace import (
     _canonical,
     _combine,
     _kernel,
+    _pivot_cols,
     _point_ids,
     annihilated,
     bit_ids,
@@ -167,9 +169,9 @@ def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
     form f, in every characteristic, the lines through a zero a are the
     <a, b> with b a zero in a^perp (for W(q), Q is zero and f alternating).
     a^perp is a hyperplane holding a, as the radical of f holds no zero,
-    so its RREF basis is read off its normal.  Dropping the row at a's
-    leading position leaves a complement C of a, which each such line
-    meets in one normalized point b = x C, x in PG(v-3,q).
+    so its RREF basis is the ``_kernel`` of its normal.  Dropping the row
+    pivoting at a's leading position leaves a complement C of a, which
+    each such line meets in one normalized point b = x C, x in PG(v-3,q).
 
     A line's lowest point in id order is the one leading at its second
     pivot.  Taking from a only the b that lead before a finds each line
@@ -181,17 +183,9 @@ def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
     idx = {a: i for i, a in enumerate(zeroes)}
     bases = []
     for a in idx:
-        normal = [dot(row, a, ops) for row in polar.gram]  # a^perp = {x : normal . x = 0}
-        last = max(j for j, n in enumerate(normal) if n)
-        scale = ops._mul[ops.neg(ops.inv(normal[last]))]
-        lead = a.index(1)
-        rest = []  # a^perp's RREF rows e_j - (n_j / n_last) e_last, except j = lead
-        for j in range(v):
-            if j != last and j != lead:
-                row = [0] * v
-                row[j], row[last] = 1, scale[normal[j]]
-                rest.append(row)
-        before = lead - (last < lead)  # the rows of rest with pivot before lead
+        perp = _kernel(([dot(row, a, ops) for row in polar.gram],), v, q)  # a^perp
+        before = _pivot_cols(perp).index(a.index(1))  # the rows of rest with pivot before a's
+        rest = perp[:before] + perp[before + 1:]
         for x in _point_ids(v - 2, q):  # the points of PG(v-3,q)
             if x.index(1) < before:
                 b = tuple(_combine(x, rest, v, ops))
@@ -356,17 +350,23 @@ def _bipartite_adjacency(s: IncidenceStructure) -> list[int]:
 
 
 def _connectivity_order(adj: list[int], deg: list[int]) -> list[int]:
-    """Visit order maximizing mapped-neighbor counts (greedy)."""
-    n = len(adj)
-    order = []
-    visited = 0
-    remaining = set(range(n))
-    while remaining:
-        best = max(remaining,
-                   key=lambda x: ((adj[x] & visited).bit_count(), deg[x], -x))
-        order.append(best)
-        visited |= 1 << best
-        remaining.remove(best)
+    """Visit order maximizing mapped-neighbor counts (greedy), then degree,
+    then lowest id: ``untaken[m, d]`` packs the untaken vertices of degree d
+    with m neighbours taken, so a step takes the lowest bit of the largest
+    key and moves only the neighbours of the vertex taken."""
+    n, untaken, order, taken = len(adj), defaultdict(int), [], 0
+    for x, d in enumerate(deg):
+        untaken[0, d] |= 1 << x
+    while len(order) < n:
+        key = max(k for k, m in untaken.items() if m)
+        low = untaken[key] & -untaken[key]
+        untaken[key] ^= low
+        taken |= low
+        order.append(low.bit_length() - 1)
+        for y in bit_ids(adj[order[-1]] & ~taken):
+            m, d = (adj[y] & taken).bit_count(), deg[y]
+            untaken[m - 1, d] ^= 1 << y
+            untaken[m, d] |= 1 << y
     return order
 
 
@@ -400,10 +400,11 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     of PG(4,q) containing no line of the quadric.  Needs the coordinate
     labels from build_q4: points labelled by points and lines by lines.
 
-    The ovoid's rows are eliminated only until rank 4; a dot of the other
-    rows with the normals of that span settles rank 4.  Then one
-    ``annihilated`` pass over ``q4.label_rows`` finds the labels inside
-    the hyperplane.  The labels of the whole structure are checked for
+    The ovoid's rows are eliminated only until rank 4, and ``_kernel``
+    gives the normals of that span, a hyperplane H.  Then one
+    ``annihilated`` pass over ``q4.label_rows`` finds the labels inside H:
+    the points inside must be exactly the ovoid, which also refuses an
+    ovoid of rank 5.  The labels of the whole structure are checked for
     one ambient space and their kinds when those masks are built, once
     per structure, before the ovoid's rows are read.
     """
@@ -424,18 +425,12 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
 
 
 def _hyperplane_normals(rows, v: int, q: int):
-    """Normals of the span of rows when it has dimension exactly 4, else None.
-
-    Row-reduces a growing prefix of rows only until rank 4, then checks
-    the remaining rows against the normals.
-    """
+    """The ``_kernel`` of the first prefix of rows that spans dimension 4,
+    row-reduced only until rank 4; None if no prefix does."""
     basis, end = rref(rows[:4], q), 4
     while len(basis) < 4 and end < len(rows):  # the rank grows by at most 1 a row
         basis, end = rref(basis + (rows[end],), q), end + 1
-    if len(basis) < 4:
-        return None
-    normals, ops = _kernel(basis, v, q), ops_for_order(q)
-    return None if any(dot(n, row, ops) for row in rows[end:] for n in normals) else normals
+    return _kernel(basis, v, q) if len(basis) == 4 else None
 
 
 # ----------------------------------------------------------------------

@@ -32,9 +32,9 @@ row-reduction test for subspaces that are used once.  Many rows against
 one subspace: ``row_masks`` packs them once, and ``annihilated`` keeps
 those that its normals all kill.
 
-All reduction goes through ``rref`` and one residual step: ``contains``
-tests that the residuals vanish, ``quotient`` reads coordinates off them,
-and ``meet``/``dualize`` hand ``_kernel`` a matrix that is already RREF.
+All reduction goes through ``rref`` and one residual step, behind
+``contains`` and ``quotient``; every orthogonal complement is ``_kernel``,
+which takes any rows and reduces them once.
 """
 
 from __future__ import annotations
@@ -267,10 +267,9 @@ def _residuals(rows, basis, q: int):
 def meet(U: Subspace, W: Subspace) -> Subspace:
     """Intersection of two subspaces."""
     require_ambient(U.v, U.q, (W,))
-    cu = _kernel(U.basis, U.v, U.q)
-    cw = _kernel(W.basis, W.v, W.q)
-    basis = _kernel(rref(cu + cw, U.q), U.v, U.q)
-    return _canonical(U.v, len(basis), U.q, basis)
+    v, q = U.v, U.q
+    basis = _kernel(_kernel(U.basis, v, q) + _kernel(W.basis, v, q), v, q)
+    return _canonical(v, len(basis), q, basis)
 
 
 def join(U: Subspace, W: Subspace) -> Subspace:
@@ -279,22 +278,25 @@ def join(U: Subspace, W: Subspace) -> Subspace:
     return subspace_from_rows(U.basis + W.basis, U.v, U.q)
 
 
-def _kernel(basis, v: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """RREF basis of {x : M x^T = 0} for the matrix M with the given rows.
+def _kernel(rows, v: int, q: int) -> tuple[tuple[int, ...], ...]:
+    """RREF basis of {x : r . x = 0 for every row r}, for any rows.
 
-    The rows must already be RREF; they are not reduced again.
+    One ``rref`` of the rows with columns reversed.  There a free column f
+    gives e_f minus its pivot rows' entries, nonzero only at pivots before f;
+    read back, each starts with its 1, where the others are 0: RREF as built.
     """
-    neg = ops_for_order(q).neg
-    pivots = _pivot_cols(basis)
-    free = [c for c in range(v) if c not in pivots]
+    neg = ops_for_order(q)._neg
+    reduced = rref([row[::-1] for row in rows], q)
+    pivots = _pivot_cols(reduced)
     kernel = []
-    for f in free:
-        vec = [0] * v
-        vec[f] = 1
-        for row, p in zip(basis, pivots):
-            vec[p] = neg(row[f])
-        kernel.append(tuple(vec))
-    return rref(kernel, q)
+    for f in reversed(range(v)):
+        if f not in pivots:
+            vec = [0] * v
+            vec[f] = 1
+            for row, p in zip(reduced, pivots):
+                vec[p] = neg[row[f]]
+            kernel.append(tuple(vec[::-1]))
+    return tuple(kernel)
 
 
 def row_masks(rows, v: int, q: int) -> tuple[tuple[int, ...], ...]:
@@ -483,6 +485,8 @@ class BilinearForm:
         v = len(self.gram)
         if any(len(r) != v for r in self.gram):
             raise ValueError("Gram matrix must be square")
+        if any(type(x) is not int or x < 0 for r in self.gram for x in r):
+            raise ValueError("Gram matrix entries must be field elements, ints >= 0")
 
 
 def dot_form(v: int, q: int) -> BilinearForm:
@@ -512,16 +516,15 @@ def dualize(U: Subspace, form: BilinearForm) -> Subspace:
         raise AmbientMismatchError("form dimension does not match the subspace")
     if _gram_rank(form, q) != v:
         raise DegenerateFormError("Gram matrix is singular")
-    ops = ops_for_order(q)
-    constraints = []
-    for u in U.basis:
-        constraints.append(tuple(dot(grow, u, ops) for grow in form.gram))
-    basis = _kernel(rref(constraints, q), v, q)
+    ops, cols = ops_for_order(q), tuple(zip(*form.gram))
+    basis = _kernel([_combine(u, cols, v, ops) for u in U.basis], v, q)  # rows G u
     return _canonical(v, len(basis), q, basis)
 
 
 @lru_cache(maxsize=None)
 def _gram_rank(form: BilinearForm, q: int) -> int:
+    if any(x >= q for row in form.gram for x in row):
+        raise ValueError(f"Gram matrix entries must be field elements in [0, {q})")
     return len(rref(form.gram, q))
 
 

@@ -252,6 +252,27 @@ def test_only_search_imports_numpy():
     assert importers == {"search.py"}
 
 
+def test_every_import_is_used():
+    """Each name a module under qgeom/ imports is read in that module;
+    __init__ imports to re-export, and __future__ imports bind nothing."""
+    unused = []
+    for path in sorted((REPO / "src" / "qgeom").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).partition(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
+
+
 def test_no_module_reads_the_process_environment():
     """argv alone decides a payload, so nothing under qgeom/ may read
     os.environ, os.getenv or their bytes twins."""
@@ -491,6 +512,24 @@ def test_design_spread_gen_payload_digest_is_pinned(v, k, q, tmp_path, capsys):
     assert run(capsys, "design", "spread-gen", "--v", str(v), "--k", str(k), "--q", str(q),
                "--out", str(out))[0] == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SPREAD_GEN_SHA256[v, k, q]
+
+
+DESIGN_DUAL_SHA256 = {  # `design dual` of the `design spread-gen` payloads above
+    (4, 2, 2): "5ef51f29f6eba50b1e8af434b1ad49712f941ebfbf67db1e0f306538fa4250f7",
+    (4, 2, 3): "3027287adb26339cf1c726989548abd58dfdecccc16442a7dd3958e23946dee5",
+    (4, 2, 4): "de00c5f5ff20b623f1987ab2691d8af7870cd9a4e2ed3263ef3e333d01c747dc",
+    (4, 2, 5): "dffa9e897c037edb88bee11d1f3bbf7ef68f281734ee4ed8a54d622a55aaad56",
+    (6, 3, 2): "ef9f787223f06aa85da6e48712b45b2b3c9a5ae7352afce364c56142f587c8c4",
+}
+
+
+@pytest.mark.parametrize("v,k,q", sorted(DESIGN_DUAL_SHA256))
+def test_design_dual_payload_digest_is_pinned(v, k, q, tmp_path, capsys):
+    spread, dual = tmp_path / "spread.json", tmp_path / "dual.json"
+    run(capsys, "design", "spread-gen", "--v", str(v), "--k", str(k), "--q", str(q),
+        "--out", str(spread))
+    assert run(capsys, "design", "dual", str(spread), "--out", str(dual))[0] == EXIT_OK
+    assert hashlib.sha256(dual.read_bytes()).hexdigest() == DESIGN_DUAL_SHA256[v, k, q]
 
 
 GQ_ISO_SHA256 = {

@@ -11,7 +11,7 @@ from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 import qgeom
-from qgeom import designs, projspace, search
+from qgeom import designs, gq, projspace, search
 from qgeom.errors import (
     AmbientMismatchError,
     BudgetExceededError,
@@ -417,6 +417,27 @@ def test_isomorphism_search_is_deeper_than_the_recursion_limit():
     pm, lm = is_isomorphic(grid, other)
     for j, pts in enumerate(grid.line_points):
         assert tuple(sorted(pm[p] for p in pts)) == other.line_points[lm[j]]
+
+
+def _connectivity_order_reference(adj, deg):
+    """The quadratic greedy: a max over every untaken vertex per step."""
+    order, taken, remaining = [], 0, set(range(len(adj)))
+    while remaining:
+        best = max(remaining, key=lambda x: ((adj[x] & taken).bit_count(), deg[x], -x))
+        order.append(best)
+        taken |= 1 << best
+        remaining.remove(best)
+    return order
+
+
+def test_connectivity_order_matches_the_quadratic_greedy():
+    structures = [grid3x3(), dualize_structure(grid3x3())]
+    for q in (2, 3, 4, 5):
+        structures += [dualize_structure(build_w(q)), build_q4(q)]
+    for s in structures:
+        adj = gq._bipartite_adjacency(s)
+        deg = [m.bit_count() for m in adj]
+        assert gq._connectivity_order(adj, deg) == _connectivity_order_reference(adj, deg)
 
 
 def test_isomorphism_budget():

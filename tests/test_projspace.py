@@ -33,6 +33,7 @@ from qgeom import gf, projspace
 from qgeom.designs import derived_design, desarguesian_spread
 from qgeom.gf import arith, field_new, ops_for_order
 from qgeom.projspace import (
+    BilinearForm,
     Subspace,
     annihilated,
     check_point_index,
@@ -41,6 +42,7 @@ from qgeom.projspace import (
     dot_form,
     dualize,
     enumerate_subspaces,
+    form_value,
     full_space,
     gaussian_binomial,
     join,
@@ -269,10 +271,34 @@ def test_duality_symplectic_on_lines():
         assert dualize(dualize(L, form), form) == L
 
 
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_dualize_takes_the_form_with_the_subspace_on_the_right(q):
+    """b(x, u) = x G u^T for every x in U^perp and u in U.  G is neither
+    symmetric nor alternating, so G^T would give other complements; the
+    dot and symplectic forms cannot tell the two sides apart."""
+    form = BilinearForm(gram=((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)))
+    spec = field_new(q)
+    for k in range(5):
+        for U in enumerate_subspaces(4, k, spec):
+            perp = dualize(U, form)
+            assert perp.k == 4 - k
+            assert all(form_value(form, x, u, q) == 0 for x in perp.basis for u in U.basis)
+
+
+@pytest.mark.parametrize("entry,q", [(-1, 4), (7, 3), (1.0, 2), (True, 2)])
+def test_bilinear_form_refuses_entries_outside_the_field(entry, q):
+    """Over F_4, diag(1, -1, 1, 1) means the dot form, as -1 = 1 there, but
+    a negative entry would index the last table row; 7 lies past F_3's
+    tables, and a float or a bool is no field element."""
+    gram = tuple(tuple(entry if i == j == 1 else int(i == j) for j in range(4)) for i in range(4))
+    line = subspace_from_rows([[1, 0, 0, 0], [0, 1, 3 % q, 2 % q]], 4, q)
+    with pytest.raises(ValueError, match="Gram matrix entries"):
+        dualize(line, BilinearForm(gram=gram))
+
+
 def test_degenerate_form_rejected():
     bad = dot_form(4, 2)
     gram = tuple(tuple(0 for _ in range(4)) for _ in range(4))
-    from qgeom.projspace import BilinearForm
     with pytest.raises(DegenerateFormError):
         dualize(full_space(4, 2), BilinearForm(gram=gram))
     del bad
@@ -689,6 +715,7 @@ def test_row_operations_agree_with_the_method_call_reference(case):
     assert contains(U, subspace_from_rows(rows[:2], v, q))
     assert contains(join(U, X), X) and contains(U, meet(U, X))
     assert projspace._kernel(U.basis, v, q) == _kernel_reference(rows, v, q)
+    assert projspace._kernel(rows, v, q) == _kernel_reference(rows, v, q)  # rows not RREF
     assert meet(U, X).basis == _kernel_reference(
         _kernel_reference(rows, v, q) + _kernel_reference(others, v, q), v, q)
     assert dualize(U, dot_form(v, q)).basis == _kernel_reference(U.basis, v, q)
