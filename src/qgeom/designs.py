@@ -158,13 +158,11 @@ def is_design(blocks: BlockSet, params: DesignParams) -> DesignReport:
 
 
 def lambda_s(params: DesignParams, s: int) -> Fraction:
-    """The derived parameter at level s: lambda_s is integral for all
-    s in {0, ..., t} exactly when the parameters are admissible."""
+    """The derived parameter at level s, lambda_{s,0}: lambda_s is integral
+    for all s in {0, ..., t} exactly when the parameters are admissible."""
     if not 0 <= s <= params.t:
         raise OutOfRangeError(f"s={s} outside [0, {params.t}]")
-    num = params.lam * gaussian_binomial(params.v - s, params.t - s, params.q)
-    den = gaussian_binomial(params.k - s, params.t - s, params.q)
-    return Fraction(num, den)
+    return lambda_ij(params, s, 0)
 
 
 def lambda_ij(params: DesignParams, i: int, j: int) -> Fraction:

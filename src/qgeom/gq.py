@@ -23,7 +23,7 @@ from .errors import (
     PayloadError,
     UnknownIdError,
 )
-from .gf import dot, ops_for_order
+from .gf import ops_for_order
 from .projspace import (
     SCHEMA_VERSION,
     BilinearForm,
@@ -147,7 +147,7 @@ def incidence_from_lines(n_points: int, lines,
 def build_w(q: int) -> IncidenceStructure:
     """W(q): points of PG(3,q) with the totally isotropic lines of the
     alternating form x1 y2 - x2 y1 + x3 y4 - x4 y3; every point is isotropic."""
-    return _polar_quadrangle(4, q, BilinearForm(gram=((0,) * 4,) * 4), symplectic_form(q))
+    return _polar_quadrangle(4, q, _point_ids(4, q), symplectic_form(q))
 
 
 @lru_cache(maxsize=None)
@@ -155,15 +155,16 @@ def build_q4(q: int) -> IncidenceStructure:
     """Q(4,q): projective zeroes of x1 x2 + x3 x4 + x5^2 in PG(4,q),
     with all the lines of PG(4,q) inside the zero set."""
     ops = ops_for_order(q)
-    upper = ((0, 1, 0, 0, 0), (0,) * 5, (0, 0, 0, 1, 0), (0,) * 5, (0, 0, 0, 0, 1))
-    polar = tuple(tuple(map(ops.add, row, col)) for row, col in zip(upper, zip(*upper)))
-    return _polar_quadrangle(5, q, BilinearForm(gram=upper), BilinearForm(gram=polar))
+    upper = BilinearForm(gram=((0, 1, 0, 0, 0), (0,) * 5, (0, 0, 0, 1, 0), (0,) * 5,
+                               (0, 0, 0, 0, 1)))
+    polar = tuple(tuple(map(ops.add, row, col)) for row, col in zip(upper.gram, zip(*upper.gram)))
+    zeroes = [a for a in _point_ids(5, q) if form_value(upper, a, a, q) == 0]
+    return _polar_quadrangle(5, q, zeroes, BilinearForm(gram=polar))
 
 
-def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
-                      polar: BilinearForm) -> IncidenceStructure:
-    """The points x of PG(v-1,q) with Q(x) = quadratic(x, x) = 0, and the
-    lines of PG(v-1,q) all of whose points are such zeroes.
+def _polar_quadrangle(v: int, q: int, zeroes, polar: BilinearForm) -> IncidenceStructure:
+    """The given zeroes of a quadratic form Q on F_q^v, normalized vectors
+    in id order, and the lines of PG(v-1,q) all of whose points are zeroes.
 
     Since Q(x a + y b) = x^2 Q(a) + y^2 Q(b) + xy f(a, b) for the polar
     form f, in every characteristic, the lines through a zero a are the
@@ -178,12 +179,11 @@ def _polar_quadrangle(v: int, q: int, quadratic: BilinearForm,
     once, with (b, a) its RREF basis, so the sorted bases are the lines
     in ``enumerate_subspaces`` order.
     """
-    ops = ops_for_order(q)
-    zeroes = [a for a in _point_ids(v, q) if form_value(quadratic, a, a, q) == 0]
+    ops, cols = ops_for_order(q), tuple(zip(*polar.gram))
     idx = {a: i for i, a in enumerate(zeroes)}
     bases = []
     for a in idx:
-        perp = _kernel(([dot(row, a, ops) for row in polar.gram],), v, q)  # a^perp
+        perp = _kernel((_combine(a, cols, v, ops),), v, q)  # a^perp, normal G a
         before = _pivot_cols(perp).index(a.index(1))  # the rows of rest with pivot before a's
         rest = perp[:before] + perp[before + 1:]
         for x in _point_ids(v - 2, q):  # the points of PG(v-3,q)

@@ -13,15 +13,15 @@ the table.
 A basis is validated where it enters from outside, by one check in the
 public ``Subspace(...)`` constructor that ``subspace_from_json`` and
 ``full_space`` go through: ``rref`` must return it unchanged.
-Bases built here (``rref`` output, enumeration, ``point_at``) and in
-``designs`` (Desarguesian spread blocks, ``cone_over`` lifts) are RREF by
-construction and are wrapped by ``_canonical`` without the check.
+Bases built here (``rref`` output, enumeration, ``subspaces_within``,
+``point_at``) and in ``designs`` (Desarguesian spread blocks, ``cone_over``
+lifts) are RREF by construction and are wrapped by ``_canonical`` unchecked.
 A ``Subspace`` is one tuple ``(v, k, q, basis)``: it hashes, compares and
 sorts as that plain tuple does, equals it, and takes no weak reference.
 ``_canonical`` builds it with ``tuple.__new__``, past the check in
 ``Subspace.__new__``; ``_make``, ``_replace``, pickling and copying all go
-through the check.  An enumerated subspace takes about 170 B with its
-basis (the 200,787 of (8,4,2) add about 38 MB to the resident set).
+through the check.  ``tracemalloc`` reads 177 B per subspace, basis and list
+included, at the peak of ``enumerate_subspaces(8, 4, 2)`` on CPython 3.11.
 
 A subspace's point mask (``point_mask``) is computed on first use and
 memoized on that subspace object, so it lives as long as the caller keeps
@@ -32,9 +32,10 @@ row-reduction test for subspaces that are used once.  Many rows against
 one subspace: ``row_masks`` packs them once, and ``annihilated`` keeps
 those that its normals all kill.
 
-All reduction goes through ``rref`` and one residual step, behind
-``contains`` and ``quotient``; every orthogonal complement is ``_kernel``,
-which takes any rows and reduces them once.
+All reduction goes through ``rref`` (``normalize_vector`` is one row's RREF)
+and one residual step, behind ``contains`` and ``quotient``; every orthogonal
+complement is ``_kernel``, which reduces any rows once; and every product G u
+of a Gram matrix and a vector is ``_combine`` of G's columns by u.
 """
 
 from __future__ import annotations
@@ -379,15 +380,11 @@ def point_at(index: int, v: int, q: int) -> Subspace:
 
 
 def normalize_vector(vec, q: int) -> tuple[int, ...]:
-    """Scale a nonzero vector so that its first nonzero entry is 1."""
-    ops = ops_for_order(q)
-    lead = next((x for x in vec if x), None)
-    if lead is None:
+    """A nonzero vector scaled so that its first nonzero entry is 1: its RREF row."""
+    reduced = rref((vec,), q)
+    if not reduced:
         raise ValueError("cannot normalize the zero vector")
-    if lead == 1:
-        return tuple(vec)
-    f = ops.inv(lead)
-    return tuple(ops.mul(f, x) for x in vec)
+    return reduced[0]
 
 
 def point_index(vec, v: int, q: int) -> int:
@@ -462,13 +459,11 @@ def bit_ids(mask: int):
 
 
 def subspaces_within(W: Subspace, k: int) -> list[Subspace]:
-    """All k-subspaces of the ambient space contained in W, canonical order."""
-    if k > W.k:
-        return []
+    """All k-subspaces of the ambient space contained in W, canonical order: RREF
+    coordinates C give the RREF basis C W, which reads C at W's pivots, so in order."""
     ops = ops_for_order(W.q)
-    return sorted(
-        subspace_from_rows([_combine(c, W.basis, W.v, ops) for c in T.basis], W.v, W.q)
-        for T in enumerate_subspaces(W.k, k, field_new(W.q)))
+    return [_canonical(W.v, k, W.q, tuple(tuple(_combine(c, W.basis, W.v, ops)) for c in T.basis))
+            for T in enumerate_subspaces(W.k, k, field_new(W.q))]
 
 
 # ----------------------------------------------------------------------
@@ -477,7 +472,8 @@ def subspaces_within(W: Subspace, k: int) -> list[Subspace]:
 
 @dataclass(frozen=True)
 class BilinearForm:
-    """A bilinear form on F_q^v given by its Gram matrix."""
+    """A bilinear form on F_q^v given by its Gram matrix G:
+    b(x, y) = x . (G y), with G y the combination of G's columns by y."""
 
     gram: tuple[tuple[int, ...], ...]
 
@@ -505,8 +501,11 @@ def symplectic_form(q: int) -> BilinearForm:
 
 
 def form_value(form: BilinearForm, x, y, q: int) -> int:
+    """b(x, y); AmbientMismatchError unless x and y have the form's dimension."""
+    if not len(x) == len(y) == len(form.gram):
+        raise AmbientMismatchError("form dimension does not match the vectors")
     ops = ops_for_order(q)
-    return dot(x, [dot(grow, y, ops) for grow in form.gram], ops)
+    return dot(x, _combine(y, zip(*form.gram), len(y), ops), ops)
 
 
 def dualize(U: Subspace, form: BilinearForm) -> Subspace:

@@ -252,6 +252,18 @@ def test_only_search_imports_numpy():
     assert importers == {"search.py"}
 
 
+def test_only_projspace_imports_dot():
+    """The convention b(x, y) = x . (G y) lives in projspace, so no other
+    module under qgeom/ may import gf.dot to evaluate a form itself."""
+    importers = set()
+    for path in sorted((REPO / "src" / "qgeom").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom) and (node.module or "").rpartition(".")[2] == "gf"
+                    and any(alias.name == "dot" for alias in node.names)):
+                importers.add(path.name)
+    assert importers <= {"projspace.py"}
+
+
 def test_every_import_is_used():
     """Each name a module under qgeom/ imports is read in that module;
     __init__ imports to re-export, and __future__ imports bind nothing."""
@@ -388,6 +400,19 @@ def test_gq_build_check_dual_iso_flow(tmp_path, capsys):
     assert run(capsys, "gq", "dual", str(w2), "--out", str(dual))[0] == EXIT_OK
     code, out, _ = run(capsys, "gq", "iso", str(dual), str(q42))
     assert code == EXIT_OK and out.startswith("isomorphic")
+
+
+@pytest.mark.parametrize("incidence,summary", [
+    ([[0]], "GQ of order (0,0) (degenerate)"),  # one point on one 1-point line
+    ([[0, 1], [0], [1]], "axioms hold but line size / point degree is not constant"),
+])
+def test_gq_check_summaries_of_valid_structures(incidence, summary, tmp_path, capsys):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({"schema_version": 1, "points": len(incidence),
+                             "lines": 1 + max(j for ls in incidence for j in ls),
+                             "incidence": incidence}))
+    code, out, _ = run(capsys, "gq", "check", str(f))
+    assert code == EXIT_OK and out.strip() == summary
 
 
 def test_gq_iso_negative(tmp_path, capsys):

@@ -100,6 +100,13 @@ def test_dropping_a_block_yields_three_witnesses():
     assert missing == {p.basis[0] for p in subspace_points(removed)}
 
 
+def test_is_design_reports_at_most_ten_witnesses():
+    # no block: each of the 15 points of PG(3,2) lies in 0 blocks, not 1
+    rep = is_design(block_set([], v=4, q=2, k=2), DesignParams(1, 4, 2, 1, 2))
+    assert not rep.ok
+    assert rep.witnesses == tuple((P, 0) for P in enumerate_subspaces(4, 1, F2)[:10])
+
+
 def test_is_design_param_mismatch():
     spread = desarguesian_spread(4, 2, F2)
     with pytest.raises(ParamMismatchError):
@@ -175,6 +182,7 @@ def test_lambda_ij_range_check():
 
 def test_admissibility():
     assert admissible(FANO2).ok
+    assert admissible(FANO2).first_fractional() is None
     rep = admissible(DesignParams(2, 6, 3, 1, 2))
     assert not rep.ok
     assert rep.first_fractional() == (1, Fraction(31, 3))
@@ -227,6 +235,13 @@ def test_dual_fano_parameters(q):
     assert expected_lam.denominator == 1
     dp = dual_params(params)
     assert dp == DesignParams(2, 7, 4, int(expected_lam), q)
+
+
+def test_dual_params_refuse_a_fractional_dual_lambda():
+    # lambda_{0,1} of 1-(5,2,1)_2 is [4,2]_2 / [4,1]_2 = 35/15
+    assert lambda_ij(DesignParams(1, 5, 2, 1, 2), 0, 1) == Fraction(7, 3)
+    with pytest.raises(ValueError, match="^dual lambda 7/3 is not integral$"):
+        dual_params(DesignParams(1, 5, 2, 1, 2))
 
 
 def test_derived_design_of_spread_is_single_block():
@@ -647,6 +662,16 @@ def test_classify_solids_empty_blocks_all_poor():
     cls = classify_solids(empty, full_space(5, 2))
     assert not cls.rich
     assert len(cls.poor) == gaussian_binomial(5, 4, 2)
+
+
+def test_focus_and_solids_refuse_arguments_of_the_wrong_dimension():
+    blocks, _ = _beta_flat_model(2)
+    with pytest.raises(ValueError, match="^focal-point analysis expects a 5-subspace$"):
+        beta_flat_focus(blocks, enumerate_subspaces(5, 4, F2)[0])
+    with pytest.raises(ValueError, match=r"^solid classification expects plane blocks \(k=3\)$"):
+        classify_solids(desarguesian_spread(4, 2, F2), full_space(4, 2))
+    with pytest.raises(ValueError, match="^need a subspace of dimension >= 4$"):
+        classify_solids(blocks, blocks.sorted_blocks()[0])
 
 
 def test_classify_solids_rejects_two_blocks_in_a_solid():

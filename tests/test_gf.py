@@ -60,6 +60,17 @@ def _poly_is_irreducible_over_f2(coeffs):
     return not roots
 
 
+@pytest.mark.parametrize("fields,error,message", [
+    ((2, 1, 6, (0, 1)), NotAPrimePowerError, r"^q=6 is not 2\^1$"),
+    ((17, 1, 17, (0, 1)), OutOfRangeError, r"^q=17 outside \[2, 16\]$"),
+    ((2, 2, 4, (1, 1)), ValueError, "^modulus must be monic of degree e$"),
+    ((2, 2, 4, (1, 0, 1)), ValueError, "^modulus is reducible$"),  # x^2 + 1 = (x + 1)^2
+])
+def test_a_directly_built_field_spec_is_checked(fields, error, message):
+    with pytest.raises(error, match=message):
+        gf.FieldSpec(*fields)
+
+
 def test_field_new_4_modulus_is_unique_irreducible_quadratic():
     # oracle: check all 4 monic quadratics over F_2 by hand
     irreducible = [(c0, c1, 1) for c0 in (0, 1) for c1 in (0, 1)

@@ -47,6 +47,7 @@ from qgeom.projspace import (
     join,
     point_index,
     point_mask,
+    q_number,
     require_ambient,
     rref,
     subspace_from_rows,
@@ -151,6 +152,25 @@ def test_builds_equal_the_walk_over_every_line_without_enumerating(q, monkeypatc
         monkeypatch.setattr(mod, "enumerate_subspaces", no_enumeration)
     # __wrapped__ skips the lru_cache, so the builds run under the patch
     assert (build_w.__wrapped__(q), build_q4.__wrapped__(q)) == walked
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_w_evaluates_no_form_and_q4_its_quadratic_form_once_a_point(q, monkeypatch):
+    """Every point of PG(3,q) is a point of W(q), so its build evaluates
+    no form; Q(4,q) evaluates Q once on each point of PG(4,q)."""
+    calls = []
+    real = projspace.form_value
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (gq, projspace):
+        monkeypatch.setattr(mod, "form_value", counted)
+    build_w.__wrapped__(q)  # past the lru_cache
+    assert calls == []
+    build_q4.__wrapped__(q)
+    assert len(calls) == q_number(5, q)
 
 
 def test_q4_lines_lie_on_the_quadric():
@@ -623,6 +643,11 @@ def test_elliptic_check_false_verdicts():
     chord = join(labels[ovoid[0]], labels[ovoid[1]])
     lines = (chord,) + q4.line_labels[1:]
     assert _elliptic_outcome(replace(q4, line_labels=lines), ovoid) is False
+    # the ovoid's points relabelled by points of one plane: no prefix spans a solid
+    flat = list(labels)
+    for i, P in zip(ovoid, subspace_points(enumerate_subspaces(5, 3, field_new(2))[0])):
+        flat[i] = P
+    assert _elliptic_outcome(replace(q4, point_labels=tuple(flat)), ovoid) is False
 
 
 def test_elliptic_check_rejects_mixed_ambient_ovoid_labels():

@@ -296,6 +296,42 @@ def test_bilinear_form_refuses_entries_outside_the_field(entry, q):
         dualize(line, BilinearForm(gram=gram))
 
 
+def test_form_value_refuses_vectors_of_another_dimension():
+    """A vector shorter or longer than the form was cut to the shorter
+    length, so both calls read 1 before the check."""
+    form = dot_form(4, 2)
+    with pytest.raises(AmbientMismatchError):
+        form_value(form, (1, 0, 0), (1, 0, 0, 0), 2)
+    with pytest.raises(AmbientMismatchError):
+        form_value(form, (1, 0, 0, 0, 1), (1, 0, 0, 0, 1), 2)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_form_value_is_the_sum_over_the_gram_matrix(q):
+    """b(x, y) = sum_ij x_i G_ij y_j, with a Gram matrix that is neither
+    symmetric nor alternating, so swapping G's rows and columns shows."""
+    ops, rng = arith(field_new(q)), random.Random(q)
+    gram = tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(4))
+    assert gram != tuple(zip(*gram))
+    form = BilinearForm(gram=gram)
+    for _ in range(200):
+        x, y = (tuple(rng.randrange(q) for _ in range(4)) for _ in range(2))
+        expected = 0
+        for i, j in itertools.product(range(4), repeat=2):
+            expected = ops.add(expected, ops.mul(ops.mul(x[i], gram[i][j]), y[j]))
+        assert form_value(form, x, y, q) == expected
+
+
+def test_forms_and_pencils_refuse_arguments_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="^Gram matrix must be square$"):
+        BilinearForm(gram=((1, 0), (0,)))
+    with pytest.raises(AmbientMismatchError, match="^form dimension does not match"):
+        dualize(enumerate_subspaces(4, 2, F2)[0], dot_form(5, 2))
+    E = enumerate_subspaces(4, 3, F2)[0]
+    with pytest.raises(ValueError, match="^line_pencil expects a point and a plane$"):
+        line_pencil(subspaces_within(E, 2)[0], E)
+
+
 def test_degenerate_form_rejected():
     bad = dot_form(4, 2)
     gram = tuple(tuple(0 for _ in range(4)) for _ in range(4))
@@ -445,6 +481,43 @@ def test_subspaces_within():
     assert len(inner) == gaussian_binomial(4, 2, 2)
     assert all(contains(E, L) for L in inner)
     assert subspaces_within(E, 5) == []
+
+
+def _subspaces_within_reference(W, k):
+    """Each image of a k-subspace of F_q^{W.k} row-reduced, then sorted."""
+    if k > W.k:
+        return []
+    ops = ops_for_order(W.q)
+    return sorted(
+        subspace_from_rows([projspace._combine(c, W.basis, W.v, ops) for c in T.basis], W.v, W.q)
+        for T in enumerate_subspaces(W.k, k, field_new(W.q)))
+
+
+def _normalize_reference(vec, q):
+    """vec times the inverse of its first nonzero entry."""
+    ops = arith(field_new(q))
+    lead = next((x for x in vec if x), None)
+    if lead is None:
+        raise ValueError("cannot normalize the zero vector")
+    return tuple(ops.mul(ops.inv(lead), x) for x in vec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_subspaces_within_and_normalize_vector_agree_with_the_reductions_they_replaced(q):
+    rng = random.Random(q)
+    for v in range(6):
+        for m in range(v + 1):  # one sampled W of each dimension
+            W = subspace_from_rows([], v, q)
+            while W.k < m:
+                W = join(W, subspace_from_rows([[rng.randrange(q) for _ in range(v)]], v, q))
+            for k in range(m + 2):
+                assert subspaces_within(W, k) == _subspaces_within_reference(W, k)
+        for vec in itertools.product(range(q), repeat=v):
+            if any(vec):
+                assert normalize_vector(vec, q) == _normalize_reference(vec, q)
+            else:
+                with pytest.raises(ValueError, match="^cannot normalize the zero vector$"):
+                    normalize_vector(vec, q)
 
 
 def test_subspace_json_round_trip():

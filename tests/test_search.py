@@ -95,6 +95,8 @@ def test_instance_validation():
     from qgeom.errors import UnknownIdError
     with pytest.raises(UnknownIdError):
         ExactCoverInstance(2, (0b100,))
+    with pytest.raises(ValueError, match="^names must match options one to one$"):
+        ExactCoverInstance(2, (0b01, 0b10), names=("only",))
 
 
 def test_mode_first_and_count():
@@ -504,6 +506,8 @@ def test_intersection_matrix_matches_set_intersections(q):
         assert m.tolist() == [[len(a & b) for b in sols] for a in sols]
     empty = partition_into_ovoids(build_q4(q))
     assert pairwise_intersection_matrix(empty).shape == (0, 0)
+    with pytest.raises(ValueError, match="^kind must be 'ovoid' or 'spread'$"):
+        pairwise_intersection_matrix(empty, "line")
 
 
 def test_q4_2_partition_nonexistence():
