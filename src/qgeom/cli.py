@@ -27,7 +27,7 @@ import time
 from fractions import Fraction
 
 from . import __version__, designs, gq, projspace, search
-from .errors import BudgetExceededError, QGeomError
+from .errors import BudgetExceededError, PayloadError, QGeomError
 from .gf import arith, field_new
 from .projspace import SCHEMA_VERSION
 
@@ -74,7 +74,10 @@ class _Io:
                 data = fh.read()
         self._hash.update(data)
         self._read_anything = True
-        return json.loads(data)
+        try:
+            return json.loads(data)
+        except RecursionError:
+            raise PayloadError("JSON payload nested too deeply to decode") from None
 
     def inputs_digest(self):
         return self._hash.hexdigest() if self._read_anything else None

@@ -37,7 +37,7 @@ from .projspace import (
     BilinearForm,
     Subspace,
     _canonical,
-    _kernel,
+    _normals,
     _point_ids,
     annihilated,
     bit_ids,
@@ -288,16 +288,14 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
     q^k + 1 blocks.
 
     Any 2k-subspace with two blocks is their join, so only joins of block
-    pairs need a look.  A 2k-subspace holds at most q^k + 1 pairwise
-    disjoint k-subspaces, and each pair of blocks spans exactly one join.
-    So the pairs are walked in canonical order, and a pair is skipped when
-    both blocks lie in a join already found full (q^k + 1 blocks): each
-    distinct join is built and masked once, 21 joins instead of 210 for
-    the Desarguesian line spread of PG(5,2).  If every join the walk
-    finds is full, every join is full.  At the first join that is not,
-    the witness search is the unchanged scan over all pair joins in
-    Subspace order, which stops at the smallest bad join and reports it
-    with its block count.
+    pairs need a look.  Two disjoint blocks span a 2k-subspace, so two
+    blocks in a join already built span that join.  The pairs are walked
+    in canonical order, and such a pair is skipped: each distinct join is
+    built and masked once, 21 joins instead of 210 for the Desarguesian
+    line spread of PG(5,2).  Every point's row is packed once, so a join's
+    point mask is one ``annihilated`` call over its normals.  The witness
+    is the smallest join, in Subspace order, that does not hold q^k + 1
+    blocks, reported with its block count.
     """
     DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)  # checks k
     block_list = blocks.sorted_blocks()
@@ -310,29 +308,22 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
     if disjoint_union(block_masks) != ((1 << q_number(blocks.v, blocks.q)) - 1, 0):
         raise NotASpreadError("block set is not a spread")
     target = blocks.q ** blocks.k + 1
-    partners = [0] * len(block_list)  # bit j of partners[i]: i and j lie in a full join
+    points = row_masks(_point_ids(blocks.v, blocks.q), blocks.v, blocks.q)
+    partners = [0] * len(block_list)  # bit j of partners[i]: i and j lie in a built join
+    bad = []
     for i, j in itertools.combinations(range(len(block_list)), 2):
         if partners[i] >> j & 1:
             continue
-        jm = point_mask(join(block_list[i], block_list[j]))
+        J = join(block_list[i], block_list[j])
+        jm = annihilated(points, _normals(J.basis, J.v, J.q), J.q)
         inside = [b for b, m in enumerate(block_masks) if not m & ~jm]
         if len(inside) != target:
-            return _first_bad_join(block_list, block_masks, target)
+            bad.append((J, len(inside)))
         together = mask_of(inside)
         for b in inside:
             partners[b] |= together
-    return GeometricReport(ok=True)
-
-
-def _first_bad_join(block_list, block_masks, target: int) -> GeometricReport:
-    """The smallest join of two blocks, in Subspace order, that does not
-    hold ``target`` blocks, with its block count."""
-    for J in sorted({join(B, Bp) for B, Bp in itertools.combinations(block_list, 2)}):
-        jm = point_mask(J)
-        c = sum(1 for m in block_masks if not m & ~jm)
-        if c != target:
-            return GeometricReport(ok=False, witness=J, count=c)
-    raise RuntimeError("internal: the walk found a join that the scan does not")
+    J, count = min(bad, default=(None, None))
+    return GeometricReport(ok=not bad, witness=J, count=count)
 
 
 def is_alpha_point(blocks: BlockSet, P: Subspace) -> bool:
@@ -414,7 +405,7 @@ def classify_solids(blocks: BlockSet, within: Subspace) -> SolidClassification:
     firsts = ((1 << 3 * len(blocks)) - 1) // 7  # bit 3b of each block b
     rich, poor = [], []
     for S in subspaces_within(within, 4):
-        inside = annihilated(masks, _kernel(S.basis, S.v, S.q), S.q)
+        inside = annihilated(masks, _normals(S.basis, S.v, S.q), S.q)
         c = (inside & inside >> 1 & inside >> 2 & firsts).bit_count()
         if c >= 2:
             raise NotSteinerLikeError(

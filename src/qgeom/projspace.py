@@ -16,34 +16,32 @@ public ``Subspace(...)`` constructor that ``subspace_from_json`` and
 Bases built here (``rref`` output, enumeration, ``subspaces_within``,
 ``point_at``) and in ``designs`` (Desarguesian spread blocks, ``cone_over``
 lifts) are RREF by construction and are wrapped by ``_canonical`` unchecked.
-A ``Subspace`` is one tuple ``(v, k, q, basis)``: it hashes, compares and
-sorts as that plain tuple does, equals it, and takes no weak reference.
-``_canonical`` builds it with ``tuple.__new__``, past the check in
-``Subspace.__new__``; ``_make``, ``_replace``, pickling and copying all go
-through the check.  ``tracemalloc`` reads 177 B per subspace, basis and list
-included, at the peak of ``enumerate_subspaces(8, 4, 2)`` on CPython 3.11.
+A ``Subspace`` is one slotted tuple ``(v, k, q, basis)`` with no instance
+dict: it hashes, compares and sorts as that plain tuple does, equals it,
+and takes no attribute and no weak reference.  ``_canonical`` builds it
+with ``tuple.__new__``, past the check in ``Subspace.__new__``; ``_make``,
+``_replace``, pickling and copying all go through the check.
+``tracemalloc`` reads 169 B per subspace, basis and list included, at the
+peak of ``enumerate_subspaces(8, 4, 2)`` on CPython 3.11.
 
-A subspace's point mask (``point_mask``) is computed on first use and
-memoized on that subspace object, so it lives as long as the caller keeps
-that object; enumeration keeps no subspace of its own.  Hot verification
-loops test containment within one ambient space as a mask subset test,
-``inner & ~outer == 0``, after ``require_ambient``; ``contains`` stays the
-row-reduction test for subspaces that are used once.  Many rows against
-one subspace: ``row_masks`` packs them once, and ``annihilated`` keeps
-those that its normals all kill.
+Hot verification loops test containment within one ambient space as a
+mask subset test, ``inner & ~outer == 0``, after ``require_ambient``;
+``contains`` stays the row-reduction test for subspaces that are used once.
+Many rows against one subspace: ``row_masks`` packs them once, and
+``annihilated`` keeps those that its normals all kill.
 
 All reduction goes through ``rref`` (``normalize_vector`` is one row's RREF)
 and one residual step, behind ``contains`` and ``quotient``; every orthogonal
-complement is ``_kernel``, which reduces any rows once; and every product G u
-of a Gram matrix and a vector is ``_combine`` of G's columns by u.
+complement is ``_kernel``, one ``rref`` read off by ``_normals`` (which mask
+tests apply to RREF bases); every G u is ``_combine`` of G's columns by u.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     AmbientMismatchError,
@@ -139,6 +137,8 @@ class Subspace(namedtuple("_SubspaceFields", "v k q basis")):
     solid, hyperplane.
     """
 
+    __slots__ = ()
+
     def __new__(cls, v: int, k: int, q: int, basis: tuple[tuple[int, ...], ...]):
         if not 0 <= k <= v:
             raise ValueError(f"dimension k={k} outside [0, {v}]")
@@ -159,25 +159,9 @@ class Subspace(namedtuple("_SubspaceFields", "v k q basis")):
     def __reduce__(self):
         return Subspace, tuple(self)  # pickle and copy rebuild through the check
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __repr__(self):
         rows = ",".join("".join(map(str, r)) for r in self.basis)
         return f"Subspace({self.k}<{self.v} q={self.q} [{rows}])"
-
-    @cached_property
-    def _point_mask(self) -> int:
-        ids = _point_ids(self.v, self.q)
-        if self.k == 1:  # the RREF row of a point is its normalized vector
-            return 1 << ids[self.basis[0]]
-        ops = ops_for_order(self.q)
-        # a normalized coordinate row times an RREF basis is normalized
-        return mask_of(ids[tuple(_combine(c, self.basis, self.v, ops))]
-                       for c in _point_ids(self.k, self.q))
 
 
 def _canonical(v: int, k: int, q: int, basis) -> Subspace:
@@ -280,24 +264,27 @@ def join(U: Subspace, W: Subspace) -> Subspace:
 
 
 def _kernel(rows, v: int, q: int) -> tuple[tuple[int, ...], ...]:
-    """RREF basis of {x : r . x = 0 for every row r}, for any rows.
-
-    One ``rref`` of the rows with columns reversed.  There a free column f
-    gives e_f minus its pivot rows' entries, nonzero only at pivots before f;
-    read back, each starts with its 1, where the others are 0: RREF as built.
-    """
-    neg = ops_for_order(q)._neg
+    """RREF basis of {x : r . x = 0 for every row r}, for any rows: the
+    ``_normals`` of their ``rref`` with columns reversed, read back, where
+    each starts with its free column's 1, at which the others are 0."""
     reduced = rref([row[::-1] for row in rows], q)
-    pivots = _pivot_cols(reduced)
-    kernel = []
-    for f in reversed(range(v)):
+    return tuple([tuple(n[::-1]) for n in reversed(_normals(reduced, v, q))])
+
+
+def _normals(basis, v: int, q: int) -> list[list[int]]:
+    """A basis of {x : r . x = 0 for every row r}, read off an RREF basis
+    unreduced: per free column f, e_f less each row's entry at f, at its pivot."""
+    neg = ops_for_order(q)._neg
+    pivots = _pivot_cols(basis)
+    normals = []
+    for f in range(v):
         if f not in pivots:
             vec = [0] * v
             vec[f] = 1
-            for row, p in zip(reduced, pivots):
+            for row, p in zip(basis, pivots):
                 vec[p] = neg[row[f]]
-            kernel.append(tuple(vec[::-1]))
-    return tuple(kernel)
+            normals.append(vec)
+    return normals
 
 
 def row_masks(rows, v: int, q: int) -> tuple[tuple[int, ...], ...]:
@@ -420,13 +407,17 @@ def _combine(coeffs, rows, v: int, ops) -> list[int]:
 
 
 def point_mask(U: Subspace) -> int:
-    """Bit-packed point-id set of U: bit i is set iff point i lies on U.
-
-    Computed on first use and memoized on U itself, never for a whole
-    Grassmannian at once.  Within one ambient space, inner <= outer iff
+    """Bit-packed point-id set of U: bit i is set iff point i lies on U,
+    computed at each call.  Within one ambient space, inner <= outer iff
     ``point_mask(inner) & ~point_mask(outer) == 0``.
     """
-    return U._point_mask
+    ids = _point_ids(U.v, U.q)
+    if U.k == 1:  # the RREF row of a point is its normalized vector
+        return 1 << ids[U.basis[0]]
+    ops = ops_for_order(U.q)
+    # a normalized coordinate row times an RREF basis is normalized
+    return mask_of(ids[tuple(_combine(c, U.basis, U.v, ops))]
+                   for c in _point_ids(U.k, U.q))
 
 
 def mask_of(ids) -> int:

@@ -347,22 +347,46 @@ PROCESS_CACHES = {
 }
 
 
-def test_every_process_lifetime_cache_is_listed():
-    """functools.lru_cache and functools.cache keep their entries for the
-    life of the process, so each function they decorate must be listed in
-    PROCESS_CACHES."""
-    cached = set()
+# Every per-object cache in qgeom/.  A functools.cached_property stores its
+# value in the instance dict, so it lives as long as that object and cannot
+# sit on a slotted value such as projspace.Subspace; a new one joins this
+# list on purpose.
+OBJECT_CACHES = {
+    "gq.IncidenceStructure.line_masks",
+    "gq.IncidenceStructure.point_masks",
+    "gq.IncidenceStructure.label_rows",
+}
+
+
+def _decorated(decorators):
+    """module.function or module.Class.method for each function in qgeom/
+    that one of the named decorators wraps."""
+    found = set()
     for path in sorted((REPO / "src" / "qgeom").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {m: f"{c.name}." for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for m in c.body}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for dec in node.decorator_list:
                 target = dec.func if isinstance(dec, ast.Call) else dec
                 name = (target.attr if isinstance(target, ast.Attribute)
                         else getattr(target, "id", None))
-                if name in {"lru_cache", "cache"}:
-                    cached.add(f"{path.stem}.{node.name}")
-    assert cached == set(PROCESS_CACHES)
+                if name in decorators:
+                    found.add(f"{path.stem}.{owner.get(node, '')}{node.name}")
+    return found
+
+
+def test_every_process_lifetime_cache_is_listed():
+    """functools.lru_cache and functools.cache keep their entries for the
+    life of the process, so each function they decorate must be listed in
+    PROCESS_CACHES."""
+    assert _decorated({"lru_cache", "cache"}) == set(PROCESS_CACHES)
+
+
+def test_every_per_object_cache_is_listed():
+    assert _decorated({"cached_property"}) == OBJECT_CACHES
 
 
 def _option_strings(parser):
@@ -590,6 +614,14 @@ def test_gq_check_rejects_unknown_line_ids(line_id, tmp_path, capsys):
 def _one_error_line(code, out, err):
     assert code == EXIT_ERROR and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+
+def test_gq_check_refuses_a_deeply_nested_payload(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 10_000 + "]" * 10_000)
+    code, out, err = run(capsys, "gq", "check", str(f))
+    _one_error_line(code, out, err)
+    assert "nested too deeply" in err
 
 
 def test_gq_check_refuses_a_line_id_listed_twice(tmp_path, capsys):
