@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from operator import lt
+from functools import cached_property, lru_cache, reduce
+from operator import and_, lt, or_
 
 from .errors import (
     BudgetExceededError,
@@ -40,6 +40,7 @@ from .projspace import (
     json_object,
     mask_of,
     require_ambient,
+    require_int,
     row_masks,
     rref,
     subspace_from_json,
@@ -111,20 +112,16 @@ class IncidenceStructure:
 
     @cached_property
     def label_rows(self) -> tuple[tuple[int, ...], ...]:
-        """``row_masks`` of every basis row of the point labels, then of the
-        line labels, computed once per structure.
-
-        Row i is point label i, and rows n_points + 2j and n_points + 2j + 1
-        are the basis of line label j.  Raises AmbientMismatchError unless
-        all labels live in one F_q^v, and ValueError unless the point labels
-        are points and the line labels lines.
-        """
-        labels = self.point_labels + self.line_labels
+        """``row_masks`` of the point labels, row i for point i, once per
+        structure.  A hyperplane section of Q(4,q) with q^2+1 points holds
+        no quadric line, so no line label is read.  Raises ValueError, or
+        AmbientMismatchError, unless the point labels are points of one F_q^v."""
+        labels = self.point_labels
         v, q = labels[0].v, labels[0].q
         require_ambient(v, q, labels)
-        if any(P.k != 1 for P in self.point_labels) or any(L.k != 2 for L in self.line_labels):
-            raise ValueError("point labels must be points and line labels lines")
-        return row_masks([row for lab in labels for row in lab.basis], v, q)
+        if any(P.k != 1 for P in labels):
+            raise ValueError("point labels must be points")
+        return row_masks([P.basis[0] for P in labels], v, q)
 
 
 def incidence_from_lines(n_points: int, lines,
@@ -228,13 +225,7 @@ def check_gq(structure: IncidenceStructure) -> GQCheck:
     np_, nl = structure.n_points, structure.n_lines
     if np_ == 0 or nl == 0:
         return GQCheck(False, None, False, "point and line sets must be non-empty")
-    lm = structure.line_masks
-    coll = []
-    for i in range(np_):
-        m = 0
-        for j in structure.point_lines[i]:
-            m |= lm[j]
-        coll.append(m)
+    lm, coll = structure.line_masks, _collinearity_masks(structure)
     full = (1 << np_) - 1
     degenerate = any(coll[i] | (1 << i) == full and structure.point_lines[i]
                      for i in range(np_))
@@ -255,6 +246,12 @@ def check_gq(structure: IncidenceStructure) -> GQCheck:
     if len(sizes) == 1 and len(degrees) == 1:
         order = GQOrder(s=sizes.pop() - 1, t=degrees.pop() - 1)
     return GQCheck(True, order, degenerate)
+
+
+def _collinearity_masks(structure: IncidenceStructure) -> list[int]:
+    """Per point, the bit-packed points on its lines."""
+    lm = structure.line_masks
+    return [reduce(or_, [lm[j] for j in lines], 0) for lines in structure.point_lines]
 
 
 def dualize_structure(structure: IncidenceStructure) -> IncidenceStructure:
@@ -283,9 +280,13 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
     one per depth, so its depth is not bounded by the interpreter's
     recursion limit.
 
+    First, point 0 of a needs a point of b with its ``_perp_profile``, which
+    refuses W(q) against Q(4,q), q odd: W(q) has only regular points, Q(4,q) none.
+
     Raises BudgetExceededError past node_limit candidate tries, which is
-    distinct from a certified negative.
+    distinct from a certified negative; a node_limit not an int >= 0 is a ValueError.
     """
+    require_int("node_limit", node_limit, 0)
     if (a.n_points, a.n_lines) != (b.n_points, b.n_lines):
         return None
     npts = a.n_points
@@ -297,6 +298,10 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
     kind = [0] * npts + [1] * (a.n_lines)
     if sorted(zip(kind, deg_a)) != sorted(zip(kind, deg_b)):
         return None
+    if npts:  # any isomorphism maps point 0 to a point of its profile
+        profile, coll_b = _perp_profile(_collinearity_masks(a), 0), _collinearity_masks(b)
+        if profile not in (_perp_profile(coll_b, y) for y in range(npts)):
+            return None
 
     order = _connectivity_order(adj_a, deg_a)
     depth_of = {x: d for d, x in enumerate(order)}
@@ -343,6 +348,14 @@ def is_isomorphic(a: IncidenceStructure, b: IncidenceStructure,
         if image != b.line_points[line_map[j]]:
             raise RuntimeError("internal: isomorphism verification failed")
     return point_map, line_map
+
+
+def _perp_profile(coll: list[int], x: int) -> list[int]:
+    """Sorted sizes of {x, y}^perp-perp, y not collinear with x: the points
+    collinear with all points collinear with both (all if there is none)."""
+    full = (1 << len(coll)) - 1
+    return sorted(reduce(and_, [coll[z] for z in bit_ids(coll[x] & coll[y])], full).bit_count()
+                  for y in bit_ids(full & ~coll[x] & ~(1 << x)))
 
 
 def _bipartite_adjacency(s: IncidenceStructure) -> list[int]:
@@ -397,31 +410,22 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     """Whether an ovoid of Q(4,q) is an elliptic hyperplane section.
 
     True iff the ovoid equals the quadric points inside some hyperplane
-    of PG(4,q) containing no line of the quadric.  Needs the coordinate
-    labels from build_q4: points labelled by points and lines by lines.
-
-    The ovoid's rows are eliminated only until rank 4, and ``_kernel``
-    gives the normals of that span, a hyperplane H.  Then one
-    ``annihilated`` pass over ``q4.label_rows`` finds the labels inside H:
-    the points inside must be exactly the ovoid, which also refuses an
-    ovoid of rank 5.  The labels of the whole structure are checked for
-    one ambient space and their kinds when those masks are built, once
-    per structure, before the ovoid's rows are read.
-    """
-    if q4.point_labels is None or q4.line_labels is None:
-        raise MissingLabelsError("structure carries no coordinate labels")
+    H of PG(4,q) containing no line of the quadric.  H meets Q(4,q) in
+    q^2+1 (elliptic), q^2+q+1 or (q+1)^2 points, and only an elliptic
+    section holds no quadric line, so only the point labels from build_q4
+    are read.  The ovoid's rows are eliminated until rank 4, ``_kernel``
+    gives H's normals, and one ``annihilated`` pass over ``q4.label_rows``
+    (checked once per structure) must find exactly the ovoid inside H,
+    which also refuses an ovoid of rank 5."""
+    if q4.point_labels is None:
+        raise MissingLabelsError("structure carries no point labels")
     ids = sorted(set(pointset))
     if not is_gq_ovoid(q4, ids):
         raise ValueError("point set is not an ovoid of the structure")
     label_rows = q4.label_rows
     v, q = q4.point_labels[0].v, q4.point_labels[0].q
     normals = _hyperplane_normals([q4.point_labels[i].basis[0] for i in ids], v, q)
-    if normals is None:
-        return False
-    inside, n = annihilated(label_rows, normals, q), q4.n_points
-    on_lines = inside >> n  # bits 2j and 2j + 1: the two rows of line j
-    return (inside & ((1 << n) - 1) == mask_of(ids)
-            and not on_lines & on_lines >> 1 & ((1 << 2 * q4.n_lines) - 1) // 3)
+    return normals is not None and annihilated(label_rows, normals, q) == mask_of(ids)
 
 
 def _hyperplane_normals(rows, v: int, q: int):

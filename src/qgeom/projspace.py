@@ -214,6 +214,14 @@ def require_enumerable(v: int, k: int, q: int) -> None:
             f"{count} subspaces exceed the enumeration budget {ENUMERATION_BUDGET}")
 
 
+def require_int(name: str, value, least=None) -> None:
+    """Raise ValueError, naming the argument, unless value is an int (not a
+    bool) and not below least."""
+    if type(value) is not int or least is not None and value < least:
+        rule = f"at least {least}" if type(value) is int else "an integer"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def require_ambient(v: int, q: int, subspaces) -> None:
     """Raise AmbientMismatchError unless every subspace lives in F_q^v.
 

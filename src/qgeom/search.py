@@ -48,6 +48,7 @@ from .projspace import (
     mask_of,
     point_mask,
     q_number,
+    require_int,
 )
 
 if TYPE_CHECKING:  # numpy loads on the first call that needs it
@@ -268,12 +269,12 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     certificate incomplete when it binds); "count" is "all" without
     storing the solutions.  A node is one option try; exceeding
     node_limit raises BudgetExceededError carrying the partial
-    certificate.  A max_solutions below 1 or a node_limit below 0 is a
-    ValueError.
+    certificate.  A max_solutions below 1, a node_limit below 0, or a
+    budget or seed that is given but is not an int is a ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    _check_budgets(node_limit, max_solutions)
+    _check_arguments(node_limit, max_solutions, seed)
     if mode == "first" and max_solutions is None:
         max_solutions = 1
     if option_order is not None and seed is not None:
@@ -308,11 +309,11 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     return cert
 
 
-def _check_budgets(node_limit, max_solutions):
-    if max_solutions is not None and max_solutions < 1:
-        raise ValueError(f"max_solutions must be at least 1, got {max_solutions}")
-    if node_limit is not None and node_limit < 0:
-        raise ValueError(f"node_limit must be at least 0, got {node_limit}")
+def _check_arguments(node_limit, max_solutions, seed):
+    for name, value, least in (("max_solutions", max_solutions, 1),
+                               ("node_limit", node_limit, 0), ("seed", seed, None)):
+        if value is not None:
+            require_int(name, value, least)
 
 
 # ----------------------------------------------------------------------
@@ -371,7 +372,7 @@ def partition_into_ovoids(structure: IncidenceStructure, mode: str = "all",
 
 
 def _two_levels(enumerate_first, structure, n_elements, label, mode, kwargs):
-    _check_budgets(kwargs.get("node_limit"), kwargs.get("max_solutions"))
+    _check_arguments(kwargs.get("node_limit"), kwargs.get("max_solutions"), kwargs.get("seed"))
     try:
         first = enumerate_first(structure, "all",
                                 **{k: v for k, v in kwargs.items() if k != "max_solutions"})

@@ -449,12 +449,21 @@ def test_gq_iso_negative(tmp_path, capsys):
 
 
 def test_gq_iso_negative_found_by_the_search(tmp_path, capsys):
-    # a 6-cycle and two triangles agree in every count and degree
-    hexagon, triangles = tmp_path / "hexagon.json", tmp_path / "triangles.json"
-    for path, lines in ((hexagon, [(i, (i + 1) % 6) for i in range(6)]),
-                        (triangles, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])):
-        path.write_text(json.dumps(gq.structure_to_json(gq.incidence_from_lines(6, lines))))
-    code, out, _ = run(capsys, "gq", "iso", str(hexagon), str(triangles))
+    # a 12-cycle and two 6-cycles agree in every count, degree and
+    # perp-perp profile
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    for path, lines in ((one, [(i, (i + 1) % 12) for i in range(12)]),
+                        (two, [(s + i, s + (i + 1) % 6) for s in (0, 6) for i in range(6)])):
+        path.write_text(json.dumps(gq.structure_to_json(gq.incidence_from_lines(12, lines))))
+    code, out, _ = run(capsys, "gq", "iso", str(one), str(two))
+    assert code == EXIT_ERROR and out.strip() == "not isomorphic"
+
+
+def test_gq_iso_refuses_w3_against_q43_before_the_search(tmp_path, capsys):
+    w3, q43 = tmp_path / "w3.json", tmp_path / "q43.json"
+    run(capsys, "gq", "build", "--type", "W", "--q", "3", "--out", str(w3))
+    run(capsys, "gq", "build", "--type", "Q4", "--q", "3", "--out", str(q43))
+    code, out, _ = run(capsys, "gq", "iso", str(w3), str(q43), "--limit", "1e5")
     assert code == EXIT_ERROR and out.strip() == "not isomorphic"
 
 

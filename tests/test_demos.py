@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 DEMOS = sorted((REPO / "demos").glob("*.py"))
 
@@ -36,3 +38,15 @@ def test_every_bench_trace_target_resolves(monkeypatch):
     missing = [f"{module}.{attr}" for module, attr, *_ in child.TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["headline", "pg-spreads", "lattice"])
+def test_every_bench_workload_check_passes(name, monkeypatch, tmp_path):
+    # a change that a bench run would mark outputs_incorrect fails here first
+    monkeypatch.syspath_prepend(str(REPO / "bench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    workloads = importlib.import_module("workloads")
+    ctx = workloads.Context(0, tmp_path)
+    workloads.WORKLOADS[name](ctx)
+    assert ctx.checks
+    assert [check for check, ok in ctx.checks if not ok] == []

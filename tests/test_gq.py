@@ -4,7 +4,8 @@ checking on hand-verifiable toys, duality, and isomorphism search."""
 import importlib
 import pkgutil
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
 from hypothesis import event, given, reject, settings
@@ -397,6 +398,12 @@ def test_w_self_dual_for_even_q(q):
     assert is_isomorphic(build_w(q), build_q4(q)) is not None
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_w_is_not_q4_for_odd_q_before_the_search(q):
+    # every point of W(q) is regular, and for odd q no point of Q(4,q) is
+    assert is_isomorphic(build_w(q), build_q4(q), node_limit=10 ** 5) is None
+
+
 def test_identity_isomorphism():
     w = build_w(2)
     assert is_isomorphic(w, w) is not None
@@ -414,15 +421,30 @@ def test_nonisomorphic_same_size_certified():
     assert is_isomorphic(grid, other) is None
 
 
+def _cycles(*lengths):
+    """Disjoint cycles as a structure of 2-point lines."""
+    lines, start = [], 0
+    for n in lengths:
+        lines += [(start + i, start + (i + 1) % n) for i in range(n)]
+        start += n
+    return incidence_from_lines(start, lines)
+
+
 def test_nonisomorphic_with_equal_counts_and_degrees_is_certified_by_the_search():
-    # as graphs (2-point lines), a 6-cycle and two triangles agree in every
-    # count and degree, so only the exhausted search can say no
-    hexagon = incidence_from_lines(6, [(i, (i + 1) % 6) for i in range(6)])
-    triangles = incidence_from_lines(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    for a, b in ((hexagon, triangles), (triangles, hexagon)):
+    # as graphs (2-point lines), a 12-cycle and two 6-cycles agree in every
+    # count and degree and in every point's perp-perp profile, so only the
+    # exhausted search can say no
+    for a, b in ((_cycles(12), _cycles(6, 6)), (_cycles(6, 6), _cycles(12))):
         with pytest.raises(BudgetExceededError):
-            is_isomorphic(a, b, node_limit=20)
-        assert is_isomorphic(a, b, node_limit=100) is None
+            is_isomorphic(a, b, node_limit=100)
+        assert is_isomorphic(a, b, node_limit=1000) is None
+
+
+def test_perp_profiles_refuse_a_6_cycle_against_two_triangles_before_the_search():
+    hexagon, triangles = _cycles(6), _cycles(3, 3)
+    profiles = [gq._perp_profile(gq._collinearity_masks(s), 0) for s in (hexagon, triangles)]
+    assert profiles == [[3, 3, 6], [6, 6, 6]]
+    assert is_isomorphic(hexagon, triangles, node_limit=0) is None
 
 
 def test_isomorphism_search_is_deeper_than_the_recursion_limit():
@@ -462,7 +484,15 @@ def test_connectivity_order_matches_the_quadratic_greedy():
 
 def test_isomorphism_budget():
     with pytest.raises(BudgetExceededError):
-        is_isomorphic(build_w(3), dualize_structure(build_w(3)), node_limit=3)
+        is_isomorphic(dualize_structure(build_w(3)), build_q4(3), node_limit=3)
+
+
+@pytest.mark.parametrize("value,message", [(-1, "must be at least 0, got -1"),
+                                           (True, "must be an integer, got True"),
+                                           (2.5, "must be an integer, got 2.5")])
+def test_isomorphism_budget_is_checked_as_the_solver_checks_it(value, message):
+    with pytest.raises(ValueError, match=f"^node_limit {message}$"):
+        is_isomorphic(build_w(2), build_w(2), node_limit=value)
 
 
 # ----------------------------------------------------------------------
@@ -606,18 +636,13 @@ def test_elliptic_check_rejects_mixed_ambient_labels():
     q4 = build_q4(2)
     ovoid = [0, 2, 5, 9, 13]
     assert is_elliptic_quadric_ovoid(q4, ovoid)
-    foreign_line = enumerate_subspaces(4, 2, field_new(2))[0]
-    bad_lines = replace(q4, line_labels=q4.line_labels[:-1] + (foreign_line,))
-    with pytest.raises(AmbientMismatchError):
-        is_elliptic_quadric_ovoid(bad_lines, ovoid)
-    assert _elliptic_outcome(bad_lines, ovoid) is AmbientMismatchError
     # a point label off the ovoid, from PG(4,3)
     foreign_point = enumerate_subspaces(5, 1, field_new(3))[0]
     bad_points = replace(q4, point_labels=q4.point_labels[:-1] + (foreign_point,))
     with pytest.raises(AmbientMismatchError):
         is_elliptic_quadric_ovoid(bad_points, ovoid)
     assert _elliptic_outcome(bad_points, ovoid) is AmbientMismatchError
-    # every label is checked before the ovoid's rank, so a rank-5 ovoid is
+    # every point label is checked before the ovoid's rank, so a rank-5 ovoid is
     # refused too, where the reference answers before looking at the others
     swapped = list(bad_points.point_labels)
     swapped[0], swapped[1] = swapped[1], swapped[0]
@@ -639,15 +664,32 @@ def test_elliptic_check_false_verdicts():
     # a second point carrying an ovoid label: the section is too big
     doubled = labels[:outside] + (labels[ovoid[0]],) + labels[outside + 1:]
     assert _elliptic_outcome(replace(q4, point_labels=doubled), ovoid) is False
-    # a line label inside the span of the ovoid
-    chord = join(labels[ovoid[0]], labels[ovoid[1]])
-    lines = (chord,) + q4.line_labels[1:]
-    assert _elliptic_outcome(replace(q4, line_labels=lines), ovoid) is False
     # the ovoid's points relabelled by points of one plane: no prefix spans a solid
     flat = list(labels)
     for i, P in zip(ovoid, subspace_points(enumerate_subspaces(5, 3, field_new(2))[0])):
         flat[i] = P
     assert _elliptic_outcome(replace(q4, point_labels=tuple(flat)), ovoid) is False
+
+
+def test_elliptic_check_does_not_read_a_secant_line_label():
+    # a secant of the ovoid as a line label: the reference finds it inside
+    # the section, but the section's size already settles the verdict
+    q4 = build_q4(2)
+    ovoid = [0, 2, 5, 9, 13]
+    chord = join(q4.point_labels[ovoid[0]], q4.point_labels[ovoid[1]])
+    secant = replace(q4, line_labels=(chord,) + q4.line_labels[1:])
+    assert _elliptic_reference(secant, ovoid) is False
+    assert is_elliptic_quadric_ovoid(secant, ovoid) is True
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_elliptic_check_reads_point_labels_only(q):
+    q4, ovoids = _q4_ovoids(q)
+    unlined = replace(q4, line_labels=None)
+    for ovoid in ovoids:
+        assert is_elliptic_quadric_ovoid(unlined, ovoid) is _elliptic_outcome(q4, ovoid)
+    # one row per point: coordinate 0's masks cover exactly the points
+    assert reduce(or_, q4.label_rows[0]) == (1 << q4.n_points) - 1
 
 
 def test_elliptic_check_rejects_mixed_ambient_ovoid_labels():
@@ -667,28 +709,25 @@ def test_elliptic_check_rejects_a_line_label_on_an_ovoid_point():
     payload = structure_to_json(q4)
     payload["labels"]["points"][ovoid[2]] = subspace_to_json(q4.line_labels[0])
     relabelled = structure_from_json(payload)  # labels are not checked for kind here
-    with pytest.raises(ValueError, match="^point labels must be points and line labels lines$"):
+    with pytest.raises(ValueError, match="^point labels must be points$"):
         is_elliptic_quadric_ovoid(relabelled, ovoid)
 
 
-@pytest.mark.parametrize("kind", ["point", "line"])
-def test_elliptic_check_rejects_labels_of_the_wrong_kind_off_the_ovoid(kind):
+def test_elliptic_check_rejects_labels_of_the_wrong_kind_off_the_ovoid():
     q4, ovoids = _q4_ovoids(3)
     ovoid = ovoids[0]
     off = next(i for i in range(q4.n_points) if i not in ovoid)
-    if kind == "point":  # a point off the ovoid labelled by a line
-        s = replace(q4, point_labels=q4.point_labels[:off] + (q4.line_labels[0],)
-                    + q4.point_labels[off + 1:])
-    else:  # a line labelled by a point
-        s = replace(q4, line_labels=(q4.point_labels[off],) + q4.line_labels[1:])
-    with pytest.raises(ValueError, match="^point labels must be points and line labels lines$"):
+    # a point off the ovoid labelled by a line
+    s = replace(q4, point_labels=q4.point_labels[:off] + (q4.line_labels[0],)
+                + q4.point_labels[off + 1:])
+    with pytest.raises(ValueError, match="^point labels must be points$"):
         is_elliptic_quadric_ovoid(s, ovoid)
 
 
 def test_the_dual_decodes_but_its_label_rows_are_refused():
     # `gq dual` puts line labels on points, and `gq iso` reads that payload
     dual = structure_from_json(structure_to_json(dualize_structure(build_q4(2))))
-    with pytest.raises(ValueError, match="^point labels must be points and line labels lines$"):
+    with pytest.raises(ValueError, match="^point labels must be points$"):
         dual.label_rows
 
 

@@ -110,12 +110,26 @@ def test_mode_first_and_count():
 
 
 @pytest.mark.parametrize("key,value,least", [("max_solutions", 0, 1), ("max_solutions", -1, 1),
-                                             ("node_limit", -5, 0)])
+                                             ("node_limit", -5, 0), ("max_solutions", 2.5, 1),
+                                             ("node_limit", True, 0), ("seed", 1.5, None),
+                                             ("seed", True, None), ("seed", "x", None)])
 @pytest.mark.parametrize("mode", ["all", "first", "count"])
-def test_out_of_range_budgets_are_refused(mode, key, value, least):
+def test_out_of_range_budgets_are_refused(mode, key, value, least, monkeypatch):
+    monkeypatch.setattr(search, "_Run", None)  # refused before the search is set up
     inst = exact_cover_instance(3, [{0, 1}, {2}, {0}, {1, 2}])
-    with pytest.raises(ValueError, match=f"^{key} must be at least {least}, got {value}$"):
+    rule = f"at least {least}" if type(value) is int else "an integer"
+    with pytest.raises(ValueError, match=f"^{key} must be {rule}, got {value!r}$"):
         solve_exact_cover(inst, mode, **{key: value})
+
+
+@pytest.mark.parametrize("seed", [None, 0, 5, -3, 2 ** 70, 1.5, True, "x"])
+def test_every_accepted_seed_decodes_again(seed):
+    inst = exact_cover_instance(3, [{0, 1}, {2}, {0}, {1, 2}])
+    try:
+        cert = solve_exact_cover(inst, seed=seed)
+    except ValueError:
+        return
+    assert certificate_from_json(json.loads(json.dumps(certificate_to_json(cert)))) == cert
 
 
 @pytest.mark.parametrize("key,value", [("max_solutions", 0), ("node_limit", -1)])
