@@ -7,7 +7,7 @@ Conventions:
     clean;
   * verdict commands print a human-readable summary to stdout, or a
     full run report with --json;
-  * '-' as an input filename reads from stdin;
+  * '-' as an input filename reads from stdin, for one input a run;
   * search commands exit 0 on success, 2 when a node budget was
     exceeded, and 10 when nonexistence was certified; usage errors exit
     64 so scripts can tell them apart from budget aborts.
@@ -45,6 +45,8 @@ class _Parser(argparse.ArgumentParser):
         namespace, extras = super().parse_known_args(args, namespace)
         if getattr(namespace, "spread_out", None) and namespace.mode == "count":
             self.error("argument --spread-out: count mode stores no spread to write")
+        if getattr(namespace, "a", None) == "-" == getattr(namespace, "b", None):
+            self.error("argument b: stdin can be read only once, and argument a reads it")
         return namespace, extras
 
     def error(self, message):

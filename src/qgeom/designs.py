@@ -11,6 +11,7 @@ by the partition arguments.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +39,6 @@ from .projspace import (
     Subspace,
     _canonical,
     _normals,
-    _point_ids,
     annihilated,
     bit_ids,
     contains,
@@ -48,13 +48,13 @@ from .projspace import (
     gaussian_binomial,
     join,
     json_object,
-    mask_of,
     meet,
     point_at,
     point_mask,
     q_number,
     quotient,
     require_ambient,
+    require_int,
     row_masks,
     subspace_from_json,
     subspace_to_json,
@@ -73,6 +73,8 @@ class DesignParams:
     q: int
 
     def __post_init__(self):
+        for name in ("t", "v", "k", "lam", "q"):
+            require_int(name, getattr(self, name))
         if not 0 <= self.t <= self.k <= self.v - self.t:
             raise ValueError(f"need 0 <= t <= k <= v - t, got {self}")
         if self.lam < 1:
@@ -139,22 +141,17 @@ class DesignReport:
 
 
 def is_design(blocks: BlockSet, params: DesignParams) -> DesignReport:
-    """Check that every t-subspace lies in exactly lambda blocks; their
-    number is checked against the budget before any block mask is built."""
+    """Check that every t-subspace lies in exactly lambda blocks, counting
+    the t-subspaces of each block; their number is checked against the
+    budget before any block is read."""
     if (blocks.v, blocks.q, blocks.k) != (params.v, params.q, params.k):
         raise ParamMismatchError(
             f"block set ({blocks.v},{blocks.k})_{blocks.q} does not match {params}")
     t_spaces = enumerate_subspaces(params.v, params.t, field_new(params.q))
-    block_masks = [point_mask(B) for B in blocks.sorted_blocks()]
-    witnesses = []
-    for T in t_spaces:
-        tm = point_mask(T)
-        c = sum(1 for m in block_masks if not tm & ~m)
-        if c != params.lam:
-            witnesses.append((T, c))
-            if len(witnesses) == 10:
-                break
-    return DesignReport(ok=not witnesses, params=params, witnesses=tuple(witnesses))
+    counts = Counter(T for B in blocks.blocks for T in subspaces_within(B, params.t))
+    witnesses = tuple(itertools.islice(
+        ((T, counts[T]) for T in t_spaces if counts[T] != params.lam), 10))
+    return DesignReport(ok=not witnesses, params=params, witnesses=witnesses)
 
 
 def lambda_s(params: DesignParams, s: int) -> Fraction:
@@ -268,7 +265,7 @@ def spread_holes(blocks: BlockSet) -> frozenset[Subspace]:
     order) that meets an earlier one.
     """
     v, q = blocks.v, blocks.q
-    n_points = len(_point_ids(v, q))
+    n_points = q_number(v, q)
     cover, twice = disjoint_union(map(point_mask, blocks.sorted_blocks()))
     if twice:
         p = point_at((twice & -twice).bit_length() - 1, v, q)
@@ -291,39 +288,46 @@ def is_geometric_spread(blocks: BlockSet) -> GeometricReport:
     pairs need a look.  Two disjoint blocks span a 2k-subspace, so two
     blocks in a join already built span that join.  The pairs are walked
     in canonical order, and such a pair is skipped: each distinct join is
-    built and masked once, 21 joins instead of 210 for the Desarguesian
-    line spread of PG(5,2).  Every point's row is packed once, so a join's
-    point mask is one ``annihilated`` call over its normals.  The witness
-    is the smallest join, in Subspace order, that does not hold q^k + 1
-    blocks, reported with its block count.
+    built and tested once, 21 joins instead of 210 for the Desarguesian
+    line spread of PG(5,2).  The witness is the smallest join, in Subspace
+    order, that does not hold q^k + 1 blocks, reported with its block count.
     """
     DesignParams(t=1, v=blocks.v, k=blocks.k, lam=1, q=blocks.q)  # checks k
     block_list = blocks.sorted_blocks()
-    # A spread has [v]_q / [k]_q blocks.  Count them before any mask of
-    # [v]_q bits is built, and without q^v when no block's rows bound v.
-    k_points = q_number(blocks.k, blocks.q)
-    if not block_list or len(block_list) * k_points != q_number(blocks.v, blocks.q):
+    # A spread is [v]_q / [k]_q disjoint blocks.  Count them before any mask
+    # is built, and without q^v when no block's rows bound v.
+    k, n = blocks.k, len(block_list)
+    if (not n or n * q_number(k, blocks.q) != q_number(blocks.v, blocks.q)
+            or disjoint_union(map(point_mask, block_list))[1]):
         raise NotASpreadError("block set is not a spread")
-    block_masks = [point_mask(B) for B in block_list]
-    if disjoint_union(block_masks) != ((1 << q_number(blocks.v, blocks.q)) - 1, 0):
-        raise NotASpreadError("block set is not a spread")
-    target = blocks.q ** blocks.k + 1
-    points = row_masks(_point_ids(blocks.v, blocks.q), blocks.v, blocks.q)
-    partners = [0] * len(block_list)  # bit j of partners[i]: i and j lie in a built join
+    target = blocks.q ** k + 1
+    rows = row_masks([row for B in block_list for row in B.basis], blocks.v, blocks.q)
+    firsts = ((1 << k * n) - 1) // ((1 << k) - 1)
+    partners = [0] * n  # bit k*j of partners[i]: i and j lie in a built join
     bad = []
-    for i, j in itertools.combinations(range(len(block_list)), 2):
-        if partners[i] >> j & 1:
+    for i, j in itertools.combinations(range(n), 2):
+        if partners[i] >> k * j & 1:
             continue
         J = join(block_list[i], block_list[j])
-        jm = annihilated(points, _normals(J.basis, J.v, J.q), J.q)
-        inside = [b for b, m in enumerate(block_masks) if not m & ~jm]
-        if len(inside) != target:
-            bad.append((J, len(inside)))
-        together = mask_of(inside)
-        for b in inside:
-            partners[b] |= together
+        inside = _blocks_inside(rows, firsts, k, J)
+        if inside.bit_count() != target:
+            bad.append((J, inside.bit_count()))
+        for b in bit_ids(inside):
+            partners[b // k] |= inside
     J, count = min(bad, default=(None, None))
     return GeometricReport(ok=not bad, witness=J, count=count)
+
+
+def _blocks_inside(rows, firsts: int, k: int, S: Subspace) -> int:
+    """The blocks inside S, block b as bit k*b: ``rows`` is ``row_masks`` over
+    the blocks' bases in turn, block b as rows k*b .. k*b + k - 1, and
+    ``firsts`` sets bit k*b of each block.  A block lies in S iff S's normals
+    kill its k rows, so one ``annihilated`` call and k shift-ANDs find them."""
+    killed = annihilated(rows, _normals(S.basis, S.v, S.q), S.q)
+    inside = firsts
+    for r in range(k):
+        inside &= killed >> r
+    return inside
 
 
 def is_alpha_point(blocks: BlockSet, P: Subspace) -> bool:
@@ -390,11 +394,10 @@ class SolidClassification:
 def classify_solids(blocks: BlockSet, within: Subspace) -> SolidClassification:
     """Partition the solids of ``within`` into rich and poor.
 
-    A block lies in a solid iff the solid's normals kill its 3 rows, packed
-    once as rows 3b..3b+2 for block b, so one ``annihilated`` call per solid
-    and a shift-AND count the blocks inside.  Raises NotSteinerLikeError for
-    the first solid, in canonical order, that contains two or more blocks,
-    which a Steiner family of planes never allows.
+    ``_blocks_inside`` finds the blocks in each solid.  Raises
+    NotSteinerLikeError for the first solid, in canonical order, that
+    contains two or more blocks, which a Steiner family of planes never
+    allows.
     """
     if blocks.k != 3:
         raise ValueError("solid classification expects plane blocks (k=3)")
@@ -402,11 +405,10 @@ def classify_solids(blocks: BlockSet, within: Subspace) -> SolidClassification:
         raise ValueError("need a subspace of dimension >= 4")
     require_ambient(blocks.v, blocks.q, (within,))  # the masks read v coordinates a row
     masks = row_masks([row for B in blocks.blocks for row in B.basis], within.v, within.q)
-    firsts = ((1 << 3 * len(blocks)) - 1) // 7  # bit 3b of each block b
+    firsts = ((1 << 3 * len(blocks)) - 1) // 7
     rich, poor = [], []
     for S in subspaces_within(within, 4):
-        inside = annihilated(masks, _normals(S.basis, S.v, S.q), S.q)
-        c = (inside & inside >> 1 & inside >> 2 & firsts).bit_count()
+        c = _blocks_inside(masks, firsts, 3, S).bit_count()
         if c >= 2:
             raise NotSteinerLikeError(
                 f"solid contains {c} blocks", witness=S)

@@ -270,7 +270,8 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
     storing the solutions.  A node is one option try; exceeding
     node_limit raises BudgetExceededError carrying the partial
     certificate.  A max_solutions below 1, a node_limit below 0, or a
-    budget or seed that is given but is not an int is a ValueError.
+    budget, seed or option_order entry that is given but is not an int
+    is a ValueError.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -284,6 +285,8 @@ def solve_exact_cover(instance: ExactCoverInstance, mode: str = "all", *,
         if seed is not None:
             random.Random(seed).shuffle(option_order)
     option_order = tuple(option_order)
+    for entry in option_order:
+        require_int("option_order entry", entry)
     if sorted(option_order) != list(range(len(instance.options))):
         raise ValueError("option_order must be a permutation of all option ids")
     digest = instance_digest(instance)

@@ -264,6 +264,15 @@ def test_only_projspace_imports_dot():
     assert importers <= {"projspace.py"}
 
 
+def test_designs_does_not_import_the_point_table():
+    """The design predicates read containment off the blocks' own rows, so
+    designs may not import the table of every point of PG(v-1, q)."""
+    path = REPO / "src" / "qgeom" / "designs.py"
+    imported = {alias.name for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "_point_ids" not in imported
+
+
 def test_every_import_is_used():
     """Each name a module under qgeom/ imports is read in that module;
     __init__ imports to re-export, and __future__ imports bind nothing."""
@@ -489,6 +498,21 @@ def test_gq_dual_pipes_through_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(dual_payload))
     code, out, _ = run(capsys, "gq", "iso", "-", str(q42))
     assert code == EXIT_OK and out.startswith("isomorphic")
+
+
+def test_gq_iso_refuses_stdin_for_both_inputs(monkeypatch, capsys):
+    def no_read(*args):
+        raise AssertionError("stdin was read")
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr(sys.stdin, "read", no_read)
+    with pytest.raises(SystemExit) as exc:
+        main(["gq", "iso", "-", "-"])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument b: stdin can be read only once, "
+                                 "and argument a reads it\n")
 
 
 def test_gq_build_out_of_range(capsys):

@@ -118,11 +118,57 @@ def test_is_design_applies_the_budget_before_building_block_masks(monkeypatch):
     def no_masks(U):
         raise AssertionError("point_mask called before the budget check")
 
+    def no_block_reads(W, k):
+        raise AssertionError("a block was read before the budget check")
+
     monkeypatch.setattr(designs, "point_mask", no_masks)
+    monkeypatch.setattr(designs, "subspaces_within", no_block_reads)
     plane = block_set([subspace_from_rows(((1,) + (0,) * 12, (0, 1) + (0,) * 11,
                                            (0, 0, 1) + (0,) * 10), 13, 2)])
     with pytest.raises(BudgetExceededError, match="^11180715 subspaces exceed"):
         is_design(plane, DesignParams(t=2, v=13, k=3, lam=1, q=2))
+
+
+def _design_reference(blocks, params):
+    """The per-t-subspace scan: each t-subspace's point mask against every
+    block mask, in canonical order, stopping at 10 witnesses."""
+    t_spaces = enumerate_subspaces(params.v, params.t, field_new(params.q))
+    block_masks = [point_mask(B) for B in blocks.sorted_blocks()]
+    witnesses = []
+    for T in t_spaces:
+        tm = point_mask(T)
+        c = sum(1 for m in block_masks if not tm & ~m)
+        if c != params.lam:
+            witnesses.append((T, c))
+            if len(witnesses) == 10:
+                break
+    return designs.DesignReport(ok=not witnesses, params=params, witnesses=tuple(witnesses))
+
+
+def _design_cases():
+    for v, k, q in ((4, 2, 2), (4, 2, 3), (4, 2, 4), (4, 2, 5), (6, 2, 2), (6, 3, 2), (6, 2, 3)):
+        yield desarguesian_spread(v, k, field_new(q)), DesignParams(1, v, k, 1, q)
+    lines = block_set(enumerate_subspaces(5, 2, F2))
+    planes = block_set(enumerate_subspaces(6, 3, F2))
+    yield lines, DesignParams(2, 5, 2, 1, 2)  # t = k
+    yield planes, DesignParams(2, 6, 3, 15, 2)
+    yield planes, DesignParams(2, 6, 3, 14, 2)  # every line a witness
+    spread = desarguesian_spread(4, 2, F2)
+    yield spread, DesignParams(0, 4, 2, 5, 2)  # t = 0: the zero space lies in every block
+    yield spread, DesignParams(0, 4, 2, 4, 2)
+    damaged = block_set(desarguesian_spread(6, 2, F2).sorted_blocks()[4:])  # 12 points bare
+    yield damaged, DesignParams(1, 6, 2, 1, 2)
+    yield block_set([], v=4, q=2, k=2), DesignParams(1, 4, 2, 1, 2)
+
+
+def test_is_design_agrees_with_the_per_subspace_scan():
+    reports = []
+    for blocks, params in _design_cases():
+        rep = is_design(blocks, params)
+        assert rep == _design_reference(blocks, params)
+        reports.append((rep.ok, len(rep.witnesses)))
+    assert reports == [(True, 0)] * 9 + [(False, 10), (True, 0), (False, 1),
+                                         (False, 10), (False, 10)]
 
 
 def test_design_params_invariants():
@@ -132,6 +178,10 @@ def test_design_params_invariants():
         DesignParams(1, 4, 2, 0, 2)
     with pytest.raises(ValueError):
         DesignParams(1, 4, 2, 1, 6)
+    for field, value in [("t", 1.0), ("lam", 1.5), ("t", True), ("lam", True), ("q", 2.0)]:
+        fields = {"t": 1, "v": 4, "k": 2, "lam": 1, "q": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            DesignParams(**fields)
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +432,7 @@ def _geometric_reference(blocks):
 
 
 _GEOMETRIC_PARAMS = [(4, 2, 2), (6, 2, 2), (4, 2, 3), (6, 3, 2), (4, 2, 4), (4, 2, 5),
-                     (6, 2, 3), (8, 2, 2), (6, 3, 3), (8, 4, 2)]
+                     (6, 2, 3), (8, 2, 2), (6, 3, 3), (8, 4, 2), (9, 3, 2)]
 
 
 def _sampled_pg52_spreads(seed, count=10):

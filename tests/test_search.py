@@ -112,13 +112,17 @@ def test_mode_first_and_count():
 @pytest.mark.parametrize("key,value,least", [("max_solutions", 0, 1), ("max_solutions", -1, 1),
                                              ("node_limit", -5, 0), ("max_solutions", 2.5, 1),
                                              ("node_limit", True, 0), ("seed", 1.5, None),
-                                             ("seed", True, None), ("seed", "x", None)])
+                                             ("seed", True, None), ("seed", "x", None),
+                                             ("option_order", [True, 0, 2, 3], None),
+                                             ("option_order", [0.0, 1, 2, 3], None)])
 @pytest.mark.parametrize("mode", ["all", "first", "count"])
 def test_out_of_range_budgets_are_refused(mode, key, value, least, monkeypatch):
     monkeypatch.setattr(search, "_Run", None)  # refused before the search is set up
     inst = exact_cover_instance(3, [{0, 1}, {2}, {0}, {1, 2}])
-    rule = f"at least {least}" if type(value) is int else "an integer"
-    with pytest.raises(ValueError, match=f"^{key} must be {rule}, got {value!r}$"):
+    # an option_order is refused by its first entry that is not an int
+    name, bad = ("option_order entry", value[0]) if key == "option_order" else (key, value)
+    rule = f"at least {least}" if type(bad) is int else "an integer"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got {bad!r}$"):
         solve_exact_cover(inst, mode, **{key: value})
 
 
