@@ -38,6 +38,7 @@ from .projspace import (
     BilinearForm,
     Subspace,
     _canonical,
+    _images,
     _normals,
     annihilated,
     bit_ids,
@@ -141,14 +142,16 @@ class DesignReport:
 
 
 def is_design(blocks: BlockSet, params: DesignParams) -> DesignReport:
-    """Check that every t-subspace lies in exactly lambda blocks, counting
-    the t-subspaces of each block; their number is checked against the
-    budget before any block is read."""
+    """Check that every t-subspace lies in exactly lambda blocks, counting the
+    ``_images`` in each block of one coordinate Grassmannian; the t-subspaces
+    are counted against the budget before any block is read."""
     if (blocks.v, blocks.q, blocks.k) != (params.v, params.q, params.k):
         raise ParamMismatchError(
             f"block set ({blocks.v},{blocks.k})_{blocks.q} does not match {params}")
-    t_spaces = enumerate_subspaces(params.v, params.t, field_new(params.q))
-    counts = Counter(T for B in blocks.blocks for T in subspaces_within(B, params.t))
+    spec = field_new(params.q)
+    t_spaces = enumerate_subspaces(params.v, params.t, spec)
+    coords = enumerate_subspaces(params.k, params.t, spec)
+    counts = Counter(T for B in blocks.blocks for T in _images(coords, B))
     witnesses = tuple(itertools.islice(
         ((T, counts[T]) for T in t_spaces if counts[T] != params.lam), 10))
     return DesignReport(ok=not witnesses, params=params, witnesses=witnesses)
@@ -372,8 +375,7 @@ def beta_flat_focus(blocks: BlockSet, F: Subspace) -> BetaFlatReport:
     if F.k != 5:
         raise ValueError("focal-point analysis expects a 5-subspace")
     require_ambient(blocks.v, blocks.q, (F,))
-    fm = point_mask(F)
-    inside = [B for B in blocks.sorted_blocks() if not point_mask(B) & ~fm]
+    inside = [B for B in blocks.sorted_blocks() if contains(F, B)]
     if len(inside) < 2:
         return BetaFlatReport(flat=F, focal=None, block_count=len(inside))
     common = inside[0]

@@ -398,12 +398,15 @@ def is_gq_ovoid(structure: IncidenceStructure, pointset) -> bool:
 
 
 def _each_meets_once(masks, ids, n_rows: int, kind: str) -> bool:
-    """Whether the chosen ids' masks partition the rows, i.e. each row meets one id."""
-    chosen = set(ids)
-    for x in chosen:
+    """Whether the chosen ids' masks partition the rows, i.e. each row meets
+    one id.  Ids are ints, checked before ``set`` would merge 0 and False."""
+    ids = list(ids)
+    for x in ids:
+        if type(x) is not int:
+            raise ValueError(f"{kind} id {x!r} is not an integer")
         if not 0 <= x < len(masks):
             raise UnknownIdError(f"{kind} id {x} outside the structure")
-    return disjoint_union([masks[x] for x in chosen]) == ((1 << n_rows) - 1, 0)
+    return disjoint_union([masks[x] for x in set(ids)]) == ((1 << n_rows) - 1, 0)
 
 
 def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
@@ -419,9 +422,10 @@ def is_elliptic_quadric_ovoid(q4: IncidenceStructure, pointset) -> bool:
     which also refuses an ovoid of rank 5."""
     if q4.point_labels is None:
         raise MissingLabelsError("structure carries no point labels")
-    ids = sorted(set(pointset))
+    ids = list(pointset)
     if not is_gq_ovoid(q4, ids):
         raise ValueError("point set is not an ovoid of the structure")
+    ids = sorted(set(ids))
     label_rows = q4.label_rows
     v, q = q4.point_labels[0].v, q4.point_labels[0].q
     normals = _hyperplane_normals([q4.point_labels[i].basis[0] for i in ids], v, q)

@@ -13,7 +13,7 @@ the table.
 A basis is validated where it enters from outside, by one check in the
 public ``Subspace(...)`` constructor that ``subspace_from_json`` and
 ``full_space`` go through: ``rref`` must return it unchanged.
-Bases built here (``rref`` output, enumeration, ``subspaces_within``,
+Bases built here (``rref`` output, enumeration, ``_images``,
 ``point_at``) and in ``designs`` (Desarguesian spread blocks, ``cone_over``
 lifts) are RREF by construction and are wrapped by ``_canonical`` unchecked.
 A ``Subspace`` is one slotted tuple ``(v, k, q, basis)`` with no instance
@@ -24,11 +24,10 @@ with ``tuple.__new__``, past the check in ``Subspace.__new__``; ``_make``,
 ``tracemalloc`` reads 169 B per subspace, basis and list included, at the
 peak of ``enumerate_subspaces(8, 4, 2)`` on CPython 3.11.
 
-Hot verification loops test containment within one ambient space as a
-mask subset test, ``inner & ~outer == 0``, after ``require_ambient``;
-``contains`` stays the row-reduction test for subspaces that are used once.
-Many rows against one subspace: ``row_masks`` packs them once, and
-``annihilated`` keeps those that its normals all kill.
+Containment is asked by rows: ``contains`` answers one pair, and
+``annihilated`` over ``row_masks`` many rows against one subspace.  Point
+masks serve covers (``disjoint_union``) and search options.  The subspaces
+inside W are one map, ``_images``, of the coordinate subspaces of F_q^{W.k}.
 
 All reduction goes through ``rref`` (``normalize_vector`` is one row's RREF)
 and one residual step, behind ``contains`` and ``quotient``; every orthogonal
@@ -193,6 +192,8 @@ def enumerate_subspaces(v: int, k: int, spec: FieldSpec) -> list[Subspace]:
     """
     q = spec.q
     require_enumerable(v, k, q)
+    if not 0 <= k <= v:
+        return []
     bases = []
     for pivots in itertools.combinations(range(v), k):
         per_row = []
@@ -354,6 +355,7 @@ def check_point_index(index: int, v: int, q: int) -> None:
     without computing q^v.
     """
     ops_for_order(q)  # field_new(q) once per q: raises unless q is a field order
+    require_int("point index", index)
     if index < 0 or (v <= index.bit_length() and index >= (q ** max(v, 0) - 1) // (q - 1)):
         raise OutOfRangeError(f"point index {index} outside PG({v - 1},{q})")
 
@@ -397,8 +399,8 @@ def point_index(vec, v: int, q: int) -> int:
 
 
 def subspace_points(U: Subspace) -> tuple[Subspace, ...]:
-    """The [k]_q points lying on U, in id order."""
-    return tuple(point_at(i, U.v, U.q) for i in bit_ids(point_mask(U)))
+    """The [k]_q points lying on U, in id order, which is canonical order."""
+    return tuple(subspaces_within(U, 1))
 
 
 def _combine(coeffs, rows, v: int, ops) -> list[int]:
@@ -416,12 +418,9 @@ def _combine(coeffs, rows, v: int, ops) -> list[int]:
 
 def point_mask(U: Subspace) -> int:
     """Bit-packed point-id set of U: bit i is set iff point i lies on U,
-    computed at each call.  Within one ambient space, inner <= outer iff
-    ``point_mask(inner) & ~point_mask(outer) == 0``.
+    computed at each call; for covers and search options, not containment.
     """
     ids = _point_ids(U.v, U.q)
-    if U.k == 1:  # the RREF row of a point is its normalized vector
-        return 1 << ids[U.basis[0]]
     ops = ops_for_order(U.q)
     # a normalized coordinate row times an RREF basis is normalized
     return mask_of(ids[tuple(_combine(c, U.basis, U.v, ops))]
@@ -458,11 +457,16 @@ def bit_ids(mask: int):
 
 
 def subspaces_within(W: Subspace, k: int) -> list[Subspace]:
-    """All k-subspaces of the ambient space contained in W, canonical order: RREF
-    coordinates C give the RREF basis C W, which reads C at W's pivots, so in order."""
+    """All k-subspaces of the ambient space contained in W, canonical order."""
+    return _images(enumerate_subspaces(W.k, k, field_new(W.q)), W)
+
+
+def _images(coords, W: Subspace) -> list[Subspace]:
+    """C W for each RREF coordinate subspace C of F_q^{W.k}, in the order of
+    ``coords``: C W is RREF, and reads C at W's pivots, so keeps their order."""
     ops = ops_for_order(W.q)
-    return [_canonical(W.v, k, W.q, tuple(tuple(_combine(c, W.basis, W.v, ops)) for c in T.basis))
-            for T in enumerate_subspaces(W.k, k, field_new(W.q))]
+    return [_canonical(W.v, C.k, W.q, tuple(tuple(_combine(c, W.basis, W.v, ops)) for c in C.basis))
+            for C in coords]
 
 
 # ----------------------------------------------------------------------

@@ -66,6 +66,7 @@ class ExactCoverInstance:
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        require_int("n_elements", self.n_elements, 0)
         limit = 1 << self.n_elements
         for i, mask in enumerate(self.options):
             if mask == 0:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qgeom import designs, gf
+from qgeom import designs, gf, projspace
 from qgeom.designs import (
     AdmissibilityReport,
     BlockSet,
@@ -123,10 +123,22 @@ def test_is_design_applies_the_budget_before_building_block_masks(monkeypatch):
 
     monkeypatch.setattr(designs, "point_mask", no_masks)
     monkeypatch.setattr(designs, "subspaces_within", no_block_reads)
+    monkeypatch.setattr(designs, "_images", no_block_reads)
     plane = block_set([subspace_from_rows(((1,) + (0,) * 12, (0, 1) + (0,) * 11,
                                            (0, 0, 1) + (0,) * 10), 13, 2)])
     with pytest.raises(BudgetExceededError, match="^11180715 subspaces exceed"):
         is_design(plane, DesignParams(t=2, v=13, k=3, lam=1, q=2))
+
+
+def test_is_design_enumerates_the_coordinate_grassmannian_once(monkeypatch):
+    spread = desarguesian_spread(6, 2, F2)  # 21 blocks
+    calls = []
+    real = projspace.enumerate_subspaces
+    counting = lambda v, k, spec: calls.append((v, k)) or real(v, k, spec)
+    monkeypatch.setattr(projspace, "enumerate_subspaces", counting)
+    monkeypatch.setattr(designs, "enumerate_subspaces", counting)
+    assert is_design(spread, DesignParams(t=1, v=6, k=2, lam=1, q=2)).ok
+    assert calls == [(6, 1), (2, 1)]
 
 
 def _design_reference(blocks, params):

@@ -549,6 +549,19 @@ def test_unknown_ids_rejected():
         is_gq_ovoid(grid, {-1})
 
 
+@pytest.mark.parametrize("pred", [is_gq_ovoid, is_elliptic_quadric_ovoid])
+def test_ovoid_predicates_refuse_ids_that_are_not_ints(pred):
+    q4 = build_q4(3)
+    ovoid = (0, 1, 2, 3, 22, 23, 24, 25, 26, 27)
+    assert is_gq_ovoid(q4, ovoid)
+    for bad, shown in ((False, "False"), (True, "True"), (2.0, "2.0")):
+        chosen = [bad if x == int(bad) else x for x in ovoid]
+        with pytest.raises(ValueError, match=f"^point id {shown} is not an integer$"):
+            pred(q4, chosen)
+    with pytest.raises(ValueError, match="^point id False is not an integer$"):
+        pred(q4, [False, *ovoid])  # also where 0 is listed too, before a set merges them
+
+
 def test_elliptic_section_oracle_q2():
     # oracle: hyperplane sections of the quadric with 5 points and no
     # quadric line; exactly those sections are the ovoids

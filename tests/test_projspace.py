@@ -35,6 +35,7 @@ from qgeom.projspace import (
     BilinearForm,
     Subspace,
     annihilated,
+    bit_ids,
     check_point_index,
     contains,
     disjoint_union,
@@ -145,6 +146,13 @@ def test_enumeration_basics():
     subs = enumerate_subspaces(4, 2, F2)
     assert subs == sorted(subs)
     assert len(set(subs)) == len(subs)
+
+
+@pytest.mark.parametrize("v,q", [(0, 2), (3, 2), (4, 3), (2, 4)])
+def test_enumeration_counts_every_dimension_as_the_closed_form(v, q):
+    for k in range(-1, v + 2):
+        assert len(enumerate_subspaces(v, k, field_new(q))) == gaussian_binomial(v, k, q)
+    assert subspaces_within(full_space(v, q), -1) == []
 
 
 def test_enumeration_budget_guard():
@@ -441,6 +449,13 @@ def test_subspace_points_and_mask():
     pts = subspace_points(L)
     assert len(pts) == 3
     assert point_mask(L).bit_count() == 3
+
+
+@pytest.mark.parametrize("v,q", [(4, 2), (4, 3), (5, 2)])
+def test_subspace_points_are_the_points_of_the_mask(v, q):
+    for k in range(v + 1):
+        for U in enumerate_subspaces(v, k, field_new(q)):
+            assert subspace_points(U) == tuple(point_at(i, v, q) for i in bit_ids(point_mask(U)))
 
 
 def _points_on(U):
@@ -929,6 +944,14 @@ def test_points_have_one_numbering():
 def test_point_at_refuses_an_index_outside_the_space(index):
     with pytest.raises(OutOfRangeError, match=rf"^point index {index} outside PG\(3,2\)$"):
         point_at(index, 4, 2)
+
+
+@pytest.mark.parametrize("index", [1.0, True, "1"])
+def test_point_at_refuses_an_index_that_is_not_an_int(index):
+    with pytest.raises(ValueError, match=f"^point index must be an integer, got {index!r}$"):
+        point_at(index, 4, 2)
+    with pytest.raises(ValueError, match="^point index must be an integer"):
+        check_point_index(index, 4, 2)
 
 
 @pytest.mark.parametrize("index", [0, 5, 200])

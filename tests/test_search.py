@@ -99,6 +99,13 @@ def test_instance_validation():
         ExactCoverInstance(2, (0b01, 0b10), names=("only",))
 
 
+@pytest.mark.parametrize("n,rule", [(-1, "at least 0"), (2.0, "an integer"),
+                                    (True, "an integer")])
+def test_instance_refuses_an_element_count_that_is_no_count(n, rule):
+    with pytest.raises(ValueError, match=f"^n_elements must be {rule}, got {n!r}$"):
+        ExactCoverInstance(n_elements=n, options=())
+
+
 def test_mode_first_and_count():
     inst = exact_cover_instance(3, [{0, 1}, {2}, {0}, {1, 2}])
     first = solve_exact_cover(inst, "first")
@@ -214,10 +221,21 @@ def test_gq_search_trees_are_pinned(what, q, unseeded, seeded):
     assert _pin(solve_exact_cover(instance, "all", seed=0)) == seeded
 
 
+PARTITION_DIGESTS = {  # second-level instance digests: Q(4,q) ovoids, W(q) spreads
+    2: ("0577b015c9975f58", "2d58b15c17b57f5a"),
+    3: ("c11fa0d93f103791", "446488c72047d708"),
+    4: ("28c774f6defe484e", "ff00537b5290c447"),
+    5: ("88ca62fa3ecfe757", "23733e8e3a4d3d2e"),
+}
+
+
 @pytest.mark.parametrize("q,nodes", [(2, 2), (3, 9), (4, 24), (5, 50)])
 def test_partition_trees_are_pinned(q, nodes):
-    cert = partition_into_ovoids(build_q4(q), seed=0)
-    assert cert.nonexistence_certified and cert.nodes_visited == nodes
+    ovoids = partition_into_ovoids(build_q4(q), seed=0)
+    spreads = partition_into_spreads(build_w(q), seed=0)
+    for cert, digest in zip((ovoids, spreads), PARTITION_DIGESTS[q]):
+        assert cert.nonexistence_certified and cert.nodes_visited == nodes
+        assert cert.digest[:16] == digest
 
 
 @pytest.mark.parametrize("kwargs", [{}, {"seed": 0}, {"seed": 5},
